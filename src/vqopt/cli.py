@@ -22,7 +22,7 @@ from . import experiment as exp
 from . import ising
 from . import optimizer as opt
 from . import report as rpt
-from .errors import VqoptError
+from .errors import DomainError, VqoptError
 from .estimator import CostKind
 from .simulator import NoiseModel
 
@@ -60,7 +60,14 @@ def _cost_kind(text: str) -> CostKind:
         return CostKind(1.0)
     if text.startswith("cvar"):
         return CostKind(float(text[4:]) / 100.0)
-    raise VqoptError(f"unknown cost kind {text!r} (use mean or cvarNN)")
+    raise DomainError("use mean or cvarNN")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _cmd_gen_instance(args) -> int:
@@ -74,7 +81,11 @@ def _cmd_gen_instance(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, parser) -> int:
+    try:
+        kind = _cost_kind(args.cost)
+    except ValueError as exc:  # a DomainError, or a cvar suffix that is not a number
+        parser.error(f"argument --cost: invalid value {args.cost!r} ({exc})")
     instance = ising.load_instance(args.instance)
     ground = ising.brute_force_minimum(instance)
     family = {"vqe": anz.FAMILY_VQE, "qaoa": anz.FAMILY_QAOA}[args.family]
@@ -83,7 +94,6 @@ def _cmd_run(args) -> int:
         instance=instance if family == anz.FAMILY_QAOA else None,
     )
     config = _optimizer_config(args.optimizer, args)
-    kind = _cost_kind(args.cost)
     noise = None if args.noise is None else NoiseModel.from_json(_load_json(args.noise))
     rng = np.random.default_rng(args.seed)
     if args.init == "linear":
@@ -116,14 +126,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    spec_obj = _load_json(args.spec)
-    problem = exp.ProblemSpec.from_json(spec_obj)
-    config = exp._optimizer_from_json(spec_obj.get("optimizer", {"name": "trust-region-dfo"}))
-    kind = CostKind(float(spec_obj.get("cost_alpha", 0.25)))
-    noise = (
-        None if spec_obj.get("noise") is None
-        else NoiseModel.from_json(spec_obj["noise"])
-    )
+    problem, config, kind, noise = exp.sweep_spec_from_json(_load_json(args.spec))
     grid_obj = _load_json(args.grid)
     grid = [(int(m), int(n)) for m in grid_obj["shots"] for n in grid_obj["iters"]]
     sweep = exp.success_sweep(
@@ -196,7 +199,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vqopt",
         description="Shot-noise-aware benchmarks for variational quantum optimization",
     )
@@ -238,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help='JSON {"shots": [...], "iters": [...]}')
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("VQOPT_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=os.environ.get("VQOPT_THREADS", "1"))
     p.add_argument("--final-probe", action="store_true")
     p.add_argument("--out", required=True)
 
@@ -301,7 +303,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         if args.command == "gen-instance":
             return _cmd_gen_instance(args)
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_run(args, parser)
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         if args.command == "fit":
@@ -316,7 +318,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         LOGGER.error("interrupted; no partial result files were written")
         return 130
-    except VqoptError as exc:
+    except (VqoptError, OSError) as exc:
         LOGGER.error("%s", exc)
         return 1
     return 2

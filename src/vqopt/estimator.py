@@ -1,10 +1,12 @@
 """Shot-based cost estimation, CVaR aggregation, and gradient estimators.
 
-A circuit evaluation draws M bitstrings from the prepared state, scores
-them against the instance's energy table, and aggregates them with either
-the plain mean or the CVaR rule (average of the lowest alpha-fraction).
-Gradient estimators always aggregate with the mean, and each of the
-2 * n_par shifted circuit evaluations uses its own batch of shots.
+A circuit evaluation (``sample``) draws M bitstrings from the prepared
+state and scores them against the instance's energy table; ``cost``
+aggregates them with either the plain mean or the CVaR rule (average of
+the lowest alpha-fraction).  Gradient estimators always aggregate with
+the mean, and each of the 2 * n_par ``shifted_points`` uses its own batch
+of shots.  Nothing here keeps a shot count across calls: inside an
+optimization run, ``optimizer.run`` is the only place that counts shots.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class CostKind:
 MEAN = CostKind(1.0)
 CVAR25 = CostKind(0.25)
 
+# (shift, denominator) of the parameter-shift rule; finite differences use (h, 2h)
+PARAM_SHIFT_RULE = (math.pi / 2, 2.0)
+
 
 def mean_cost(samples: SampleSet) -> float:
     if len(samples) == 0:
@@ -83,7 +88,7 @@ def cost(samples: SampleSet, kind: CostKind) -> float:
     return cvar_cost(samples, kind.alpha)
 
 
-def _sample_once(
+def sample(
     spec: AnsatzSpec,
     theta: np.ndarray,
     table: np.ndarray,
@@ -91,6 +96,7 @@ def _sample_once(
     noise: NoiseModel | None,
     rng: np.random.Generator,
 ) -> SampleSet:
+    """Prepare the state at ``theta`` and draw ``shots`` scored measurements."""
     state = prepare_state(spec, theta, noise=noise, rng=rng)
     bitstrings = sim.sample_shots(state, shots, rng)
     return SampleSet(bitstrings=bitstrings, energies=table[bitstrings], shots_spent=shots)
@@ -108,7 +114,7 @@ def evaluate(
     """Prepare the state, draw ``shots`` measurements, aggregate with ``kind``."""
     if rng is None:
         raise DomainError("evaluate needs an rng")
-    samples = _sample_once(spec, theta, energy_table(instance), shots, noise, rng)
+    samples = sample(spec, theta, energy_table(instance), shots, noise, rng)
     return cost(samples, kind), samples
 
 
@@ -118,40 +124,37 @@ def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> 
     return sim.expectation_diagonal(state, energy_table(instance))
 
 
-def _shifted_means(
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    instance: IsingInstance,
-    shift: float,
-    shots_per_eval: int | None,
-    noise: NoiseModel | None,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, int, list[SampleSet]]:
-    """Mean-energy estimates at theta +- shift*e_n for every component n.
+def shifted_points(theta: np.ndarray, shift: float) -> np.ndarray:
+    """The 2 * n_par points theta +- shift*e_n, ordered +e_0, -e_0, +e_1, ...
 
-    Returns the (n_par, 2) estimates, the shots spent, and the sample sets
-    in evaluation order.  ``shots_per_eval=None`` selects the exact
-    expectation mode (no shots, no samples).
+    Both gradient rules evaluate these points in this order and combine
+    them with ``central_difference``.
     """
-    table = energy_table(instance)
-    n_par = spec.n_params
-    means = np.empty((n_par, 2))
-    sets: list[SampleSet] = []
-    shifted = np.array(theta, dtype=float)
-    for n in range(n_par):
-        base = shifted[n]
-        for col, sign in enumerate((1.0, -1.0)):
-            shifted[n] = base + sign * shift
-            if shots_per_eval is None:
-                state = prepare_state(spec, shifted)
-                means[n, col] = sim.expectation_diagonal(state, table)
-            else:
-                samples = _sample_once(spec, shifted, table, shots_per_eval, noise, rng)
-                means[n, col] = mean_cost(samples)
-                sets.append(samples)
-        shifted[n] = base
-    shots_spent = 0 if shots_per_eval is None else 2 * n_par * shots_per_eval
-    return means, shots_spent, sets
+    theta = np.asarray(theta, dtype=float)
+    n = np.arange(theta.size)
+    points = np.repeat(theta[None, :], 2 * theta.size, axis=0)
+    points[2 * n, n] += shift
+    points[2 * n + 1, n] -= shift
+    return points
+
+
+def central_difference(values, denominator: float) -> np.ndarray:
+    """Gradient from values at ``shifted_points`` order: (f[2n] - f[2n + 1]) / denominator."""
+    values = np.asarray(values, dtype=float)
+    return (values[0::2] - values[1::2]) / denominator
+
+
+def _shift_gradient(spec, theta, instance, rule, shots_per_eval, rng, noise):
+    """(gradient, shots spent) from mean costs at the points of ``rule``."""
+    shift, denominator = rule
+    points = shifted_points(theta, shift)
+    if shots_per_eval is None:  # exact expectation mode, no shots
+        means, shots = [exact_cost(spec, x, instance) for x in points], 0
+    else:
+        table = energy_table(instance)
+        means = [mean_cost(sample(spec, x, table, shots_per_eval, noise, rng)) for x in points]
+        shots = len(points) * shots_per_eval
+    return central_difference(means, denominator), shots
 
 
 def grad_param_shift(
@@ -168,17 +171,9 @@ def grad_param_shift(
     half-Pauli rotation).  Component n is (<H>_+ - <H>_-) / 2, each side
     estimated with ``shots_per_eval`` mean-cost shots (None = exact mode).
     """
-    grad, shots, _ = _grad_param_shift_full(spec, theta, instance, shots_per_eval, rng, noise)
-    return grad, shots
-
-
-def _grad_param_shift_full(spec, theta, instance, shots_per_eval, rng, noise):
     if spec.family != FAMILY_VQE:
         raise DomainError("parameter-shift gradients require the RY-CNOT family")
-    means, shots, sets = _shifted_means(
-        spec, theta, instance, math.pi / 2, shots_per_eval, noise, rng
-    )
-    return 0.5 * (means[:, 0] - means[:, 1]), shots, sets
+    return _shift_gradient(spec, theta, instance, PARAM_SHIFT_RULE, shots_per_eval, rng, noise)
 
 
 def grad_finite_diff(
@@ -191,19 +186,9 @@ def grad_finite_diff(
     noise: NoiseModel | None = None,
 ) -> tuple[np.ndarray, int]:
     """Central-difference gradient with increment ``step`` on mean-cost estimates."""
-    grad, shots, _ = _grad_finite_diff_full(
-        spec, theta, instance, step, shots_per_eval, rng, noise
-    )
-    return grad, shots
-
-
-def _grad_finite_diff_full(spec, theta, instance, step, shots_per_eval, rng, noise):
     if step <= 0:
         raise DomainError(f"finite-difference step must be positive, got {step}")
-    means, shots, sets = _shifted_means(
-        spec, theta, instance, step, shots_per_eval, noise, rng
-    )
-    return (means[:, 0] - means[:, 1]) / (2.0 * step), shots, sets
+    return _shift_gradient(spec, theta, instance, (step, 2.0 * step), shots_per_eval, rng, noise)
 
 
 def minimizer_hits(bitstrings: np.ndarray, minimizers: np.ndarray) -> np.ndarray:

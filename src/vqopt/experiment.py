@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import ansatz as anz
 from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, FAMILY_VQE, AnsatzSpec
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, VqoptError
 from .estimator import CostKind
 from .ising import (
     DISORDERED,
@@ -37,10 +39,30 @@ from .ising import (
     brute_force_minimum,
     make_disordered,
     make_ferromagnetic,
+    write_atomic,
 )
 from .simulator import NoiseModel
 
 SCHEMA_VERSION = 1
+
+
+@contextmanager
+def _parsing(what: str):
+    """Turn a missing or mistyped field met while parsing ``what`` into SchemaError."""
+    try:
+        yield
+    except VqoptError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {what}: {exc!r}") from exc
+
+
+def _check_fields(obj: dict, allowed, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise SchemaError(f"unknown {what} field(s): {', '.join(unknown)}")
 
 
 # --- problem description -----------------------------------------------------
@@ -69,6 +91,7 @@ class InitSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InitSpec":
+        _check_fields(obj, ("mode", "low", "high", "dt"), "init")
         if obj.get("mode") == "linear":
             return cls(mode="linear", dt=float(obj.get("dt", 0.8)))
         if obj.get("mode") == "zeros":
@@ -251,6 +274,7 @@ class SweepResult:
         }
 
     @classmethod
+    @_parsing("sweep result")
     def from_json(cls, obj: dict) -> "SweepResult":
         version = obj.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -286,48 +310,64 @@ class SweepResult:
 # --- sweep execution ---------------------------------------------------------
 
 
+_OPTIMIZERS = {
+    config().to_json()["name"]: config
+    for config in (opt.TrustRegionConfig, opt.HillClimbConfig, opt.GradientDescentConfig)
+}
+
+
 def _optimizer_from_json(obj: dict) -> opt.OptimizerConfig:
-    name = obj.get("name")
-    if name == "trust-region-dfo":
-        return opt.TrustRegionConfig(
-            initial_radius=float(obj.get("initial_radius", 1.0)),
-            final_radius=float(obj.get("final_radius", 1e-4)),
+    """Rebuild a config from its ``to_json`` form; absent fields take the defaults."""
+    config = _OPTIMIZERS.get(obj.get("name"))
+    if config is None:
+        raise SchemaError(f"unknown optimizer {obj.get('name')!r}")
+    defaults = config()
+    _check_fields(obj, defaults.to_json(), "optimizer")
+    # cast each value to its default's type (JSON may write 1.0 as 1); None stays None
+    return config(**{
+        k: v if v is None else type(getattr(defaults, k))(v)
+        for k, v in obj.items() if k != "name"
+    })
+
+
+def sweep_spec_from_json(
+    obj: dict,
+) -> tuple[ProblemSpec, opt.OptimizerConfig, CostKind, NoiseModel | None]:
+    """Parse a sweep spec: the problem fields plus ``optimizer``, ``cost_alpha``
+    and ``noise``.  Unknown, missing or mistyped fields raise SchemaError."""
+    with _parsing("sweep spec"):
+        fields = [*ProblemSpec.__dataclass_fields__, "optimizer", "cost_alpha", "noise"]
+        _check_fields(obj, fields, "spec")
+        noise = obj.get("noise")
+        return (
+            ProblemSpec.from_json(obj),
+            _optimizer_from_json(obj.get("optimizer", {"name": "trust-region-dfo"})),
+            CostKind(float(obj.get("cost_alpha", 0.25))),
+            None if noise is None else NoiseModel.from_json(noise),
         )
-    if name == "hill-climb":
-        return opt.HillClimbConfig(step_norm=float(obj.get("step_norm", 0.03)))
-    if name == "gradient-descent":
-        spc = obj.get("shots_per_circuit", 8)
-        return opt.GradientDescentConfig(
-            learning_rate=float(obj.get("learning_rate", 0.1)),
-            gradient=str(obj.get("gradient", "param-shift")),
-            step=float(obj.get("step", 0.5)),
-            shots_per_circuit=None if spc is None else int(spc),
-        )
-    raise SchemaError(f"unknown optimizer {name!r}")
 
 
 def _run_cell_block(
     problem: ProblemSpec,
-    instance: IsingInstance,
-    minimizers: tuple[int, ...],
-    minimum_energy: float,
     config: opt.OptimizerConfig,
     kind: CostKind,
-    shots: int,
-    iters: int,
     master_seed: int,
-    instance_index: int,
-    rep_range: range,
     noise: NoiseModel | None,
     final_probe: bool,
-) -> tuple[list[int], int, int]:
-    """Run a block of repetitions; returns (hits, psucc count, budget_calls)."""
-    ground = GroundTruth(minimum_energy, minimizers, len(minimizers))
+    task: tuple[int, IsingInstance, GroundTruth, int, int, int, range],
+) -> tuple[int, int, list[int], int, int]:
+    """Run one block of repetitions of one cell on one instance.
+
+    ``task`` is (instance index, instance, ground truth, cell index, M,
+    n_iter, repetitions); returns (instance index, cell index, hits,
+    psucc count, budget_calls).
+    """
+    instance_index, instance, ground, cell_index, shots, iters, reps = task
     spec = _ansatz_for(problem, instance)
     hits: list[int] = []
     psucc = 0
     budget = -1
-    for rep in rep_range:
+    for rep in reps:
         # keyed by shots, not by grid position: cells sharing M share their
         # run prefixes exactly (success is cumulative in n_iter), and results
         # cannot depend on grid ordering
@@ -345,33 +385,7 @@ def _run_cell_block(
             budget = trace.n_calls
         elif budget != trace.n_calls:
             raise DomainError("inconsistent run budgets within one cell")
-    return hits, psucc, budget
-
-
-def _sweep_task(args: dict) -> tuple[int, int, list[int], int, int]:
-    instance = IsingInstance(
-        size=args["size"],
-        couplings=np.asarray(args["couplings"]),
-        fields=np.asarray(args["fields"]),
-        kind=args["instance_kind"],
-        seed=args["instance_seed"],
-    )
-    hits, psucc, budget = _run_cell_block(
-        ProblemSpec.from_json(args["problem"]),
-        instance,
-        tuple(args["minimizers"]),
-        args["minimum_energy"],
-        _optimizer_from_json(args["optimizer"]),
-        CostKind(args["cost_alpha"]),
-        args["shots"],
-        args["iters"],
-        args["master_seed"],
-        args["instance_index"],
-        range(args["rep_lo"], args["rep_hi"]),
-        None if args["noise"] is None else NoiseModel.from_json(args["noise"]),
-        args["final_probe"],
-    )
-    return args["instance_index"], args["cell_index"], hits, psucc, budget
+    return instance_index, cell_index, hits, psucc, budget
 
 
 def success_sweep(
@@ -387,51 +401,32 @@ def success_sweep(
 ) -> SweepResult:
     """Run the full (M, n_iter) grid, R repetitions per instance per cell.
 
-    Every run gets its own generator seeded by (master_seed, instance,
-    cell, repetition), so results are reproducible and independent of the
-    worker count.
+    Every run gets its own generator seeded by (master_seed, instance, M,
+    repetition), so results are reproducible and independent of the worker
+    count and of the grid order.
     """
     if not grid:
         raise DomainError("empty grid")
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    if isinstance(config, opt.GradientDescentConfig) and config.shots_per_circuit is None:
+        raise DomainError("exact-mode gradient descent samples nothing, so it cannot be swept")
     instances = problem.instances()
     grounds = [brute_force_minimum(inst) for inst in instances]
 
-    tasks = []
     block = max(1, repetitions if threads <= 1 else math.ceil(repetitions / (4 * threads)))
-    for inst_idx, instance in enumerate(instances):
-        for cell_idx, (shots, iters) in enumerate(grid):
-            for lo in range(0, repetitions, block):
-                tasks.append(
-                    {
-                        "problem": problem.to_json(),
-                        "size": instance.size,
-                        "couplings": instance.couplings.tolist(),
-                        "fields": instance.fields.tolist(),
-                        "instance_kind": instance.kind,
-                        "instance_seed": instance.seed,
-                        "minimizers": list(grounds[inst_idx].minimizers),
-                        "minimum_energy": grounds[inst_idx].minimum_energy,
-                        "optimizer": config.to_json(),
-                        "cost_alpha": cost_kind.alpha,
-                        "shots": shots,
-                        "iters": iters,
-                        "master_seed": master_seed,
-                        "instance_index": inst_idx,
-                        "cell_index": cell_idx,
-                        "rep_lo": lo,
-                        "rep_hi": min(lo + block, repetitions),
-                        "noise": None if noise is None else noise.to_json(),
-                        "final_probe": final_probe,
-                    }
-                )
-
+    tasks = [
+        (inst_idx, instance, ground, cell_idx, shots, iters, range(lo, min(lo + block, repetitions)))
+        for inst_idx, (instance, ground) in enumerate(zip(instances, grounds))
+        for cell_idx, (shots, iters) in enumerate(grid)
+        for lo in range(0, repetitions, block)
+    ]
+    run_block = partial(_run_cell_block, problem, config, cost_kind, master_seed, noise, final_probe)
     if threads <= 1:
-        outcomes = [_sweep_task(t) for t in tasks]
+        outcomes = [run_block(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_sweep_task, tasks, chunksize=1))
+            outcomes = list(pool.map(run_block, tasks, chunksize=1))
 
     hit_map: dict[tuple[int, int], list[int]] = {}
     psucc_map: dict[tuple[int, int], int] = {}
@@ -440,10 +435,8 @@ def success_sweep(
         key = (inst_idx, cell_idx)
         hit_map.setdefault(key, []).extend(hits)
         psucc_map[key] = psucc_map.get(key, 0) + psucc
-        if budget >= 0:
-            if cell_idx in budget_map and budget_map[cell_idx] != budget:
-                raise DomainError("inconsistent budgets across instances")
-            budget_map[cell_idx] = budget
+        if budget_map.setdefault(cell_idx, budget) != budget:
+            raise DomainError("inconsistent budgets across instances")
 
     cells = []
     for cell_idx, (shots, iters) in enumerate(grid):
@@ -566,6 +559,7 @@ class ScalingFit:
         }
 
     @classmethod
+    @_parsing("fit result")
     def from_json(cls, obj: dict) -> "ScalingFit":
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
@@ -679,6 +673,7 @@ class DepthSweepResult:
         }
 
     @classmethod
+    @_parsing("depth-sweep result")
     def from_json(cls, obj: dict) -> "DepthSweepResult":
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
@@ -764,12 +759,14 @@ _RESULT_TYPES = {
 
 
 def save_result(result, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result.to_json(), sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(result.to_json(), sort_keys=True) + "\n")
 
 
 def load_result(path: str | Path):
-    obj = json.loads(Path(path).read_text())
-    kind = obj.get("result_type")
-    if kind not in _RESULT_TYPES:
-        raise SchemaError(f"unknown result_type {kind!r}")
-    return _RESULT_TYPES[kind].from_json(obj)
+    """Read any result file; an unreadable layout raises SchemaError."""
+    with _parsing(str(path)):
+        obj = json.loads(Path(path).read_text())
+        kind = obj.get("result_type")
+        if kind not in _RESULT_TYPES:
+            raise SchemaError(f"unknown result_type {kind!r}")
+        return _RESULT_TYPES[kind].from_json(obj)

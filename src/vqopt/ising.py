@@ -10,6 +10,7 @@ so x_j = 0 means sigma_j = +1.  All modules share this convention.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,8 +188,20 @@ def from_json(obj: dict) -> IsingInstance:
         raise SchemaError(f"instance JSON missing field {exc}") from exc
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write through a temp file beside ``path`` and rename it over ``path``, so
+    an interrupted write leaves the previous file (or none) and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_instance(instance: IsingInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json(instance), indent=2) + "\n")
+    write_atomic(path, json.dumps(to_json(instance), indent=2) + "\n")
 
 
 def load_instance(path: str | Path) -> IsingInstance:

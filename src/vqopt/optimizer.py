@@ -1,22 +1,20 @@
 """Classical outer loops driving the shot-based cost estimates.
 
-Three optimizers sit behind one ``run`` entry point:
+Every optimizer is a generator of *rounds*, in the ask-and-tell shape of
+CMA-ES and Nevergrad: it yields the parameter vectors it wants measured
+and is sent back their values.  A round is one point for the energy-based
+``trust_region_rounds`` (``TrustRegionConfig``, a COBYLA-flavored linear
+model) and ``hill_climb_rounds`` (``HillClimbConfig``); for
+``gradient_descent_rounds`` (``GradientDescentConfig``) it is theta with
+the 2 * n_par parameter-shift or finite-difference points of one step.
 
-* ``TrustRegionConfig`` — a COBYLA-flavored derivative-free method: a
-  simplex of n_par+1 points carries a linear interpolation model of the
-  noisy cost, steps are steepest-descent moves of length rho on that
-  model, and rho shrinks from ``initial_radius`` to ``final_radius`` on
-  failures.  Exactly one cost evaluation (M shots) per iteration,
-  including the evaluations that build the initial simplex.
-* ``HillClimbConfig`` — propose theta + delta with delta uniform on the
-  radius-W sphere, accept if the fresh estimate beats the incumbent's
-  last estimate.
-* ``GradientDescentConfig`` — plain theta -= eta * grad with the gradient
-  from the parameter-shift rule or central finite differences; each
-  iteration spends 2 * n_par * shots_per_circuit measurement shots.
-
-``run`` counts every Born-rule draw into the trace and scans every sample
-set (gradient evaluations included) for ground-state hits.  A run with
+``run`` is the one loop that measures rounds, and the only code that
+counts shots: it samples every point, scans every sample set for
+ground-state hits, adds its shots to ``n_calls`` and appends one trace
+row per round.  One-point rounds are scored with the run's cost kind;
+gradient rounds with the mean, and their row carries the mean energy of
+all the round's shots.  ``trust_region_dfo`` and ``hill_climb`` drive
+the same generators with a plain callable objective.  A run with
 ``n_iter = 0`` performs a single M-shot measurement of theta0 and no
 optimization, which is the smallest run that can still observe success.
 """
@@ -27,24 +25,26 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Generator, Union
 
 import numpy as np
 
 from .ansatz import AnsatzSpec
 from .errors import DomainError
 from .estimator import (
+    MEAN,
+    PARAM_SHIFT_RULE,
     CostKind,
     MinimumTracker,
     SampleSet,
-    _grad_finite_diff_full,
-    _grad_param_shift_full,
-    _sample_once,
+    central_difference,
     cost,
     exact_cost,
     minimizer_hits,
+    sample,
+    shifted_points,
 )
-from .ising import GroundTruth, IsingInstance, energy_table
+from .ising import GroundTruth, IsingInstance, energy_table, write_atomic
 from .simulator import NoiseModel
 
 TRACE_SCHEMA_VERSION = 1
@@ -166,6 +166,38 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
+def _minimize(rounds: Generator, objective: Callable[[np.ndarray], float]):
+    """Drive a one-point-per-round generator with a callable objective."""
+    try:
+        x = next(rounds)
+        while True:
+            x = rounds.send(float(objective(x)))
+    except StopIteration as done:
+        return done.value
+
+
+def hill_climb_rounds(
+    theta0: np.ndarray, budget: int, step_norm: float, rng: np.random.Generator
+) -> Generator:
+    """Accept-if-better random-direction search, one point per round.
+
+    Spends ``budget`` evaluations: first the incumbent theta0, then one
+    fresh estimate per proposal.  A proposal replaces the incumbent when
+    its estimate beats the incumbent's last recorded estimate (the
+    incumbent is not re-evaluated).  Returns (incumbent, its estimate).
+    """
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
+    incumbent = np.asarray(theta0, dtype=float)
+    best = yield incumbent
+    for _ in range(budget - 1):
+        proposal = step_hill_climb(incumbent, step_norm, rng)
+        value = yield proposal
+        if value < best:
+            incumbent, best = proposal, value
+    return incumbent, best
+
+
 def hill_climb(
     objective: Callable[[np.ndarray], float],
     theta0: np.ndarray,
@@ -173,41 +205,25 @@ def hill_climb(
     step_norm: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Accept-if-better random-direction search.
-
-    Spends ``budget`` evaluations: first the incumbent theta0, then one
-    fresh estimate per proposal.  A proposal replaces the incumbent when
-    its estimate beats the incumbent's last recorded estimate (the
-    incumbent is not re-evaluated).
-    """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    incumbent = np.asarray(theta0, dtype=float)
-    best = float(objective(incumbent))
-    for _ in range(budget - 1):
-        proposal = step_hill_climb(incumbent, step_norm, rng)
-        value = float(objective(proposal))
-        if value < best:
-            incumbent, best = proposal, value
-    return incumbent, best
+    """``hill_climb_rounds`` on a callable objective."""
+    return _minimize(hill_climb_rounds(theta0, budget, step_norm, rng), objective)
 
 
-def trust_region_dfo(
-    objective: Callable[[np.ndarray], float],
+def trust_region_rounds(
     theta0: np.ndarray,
     budget: int,
     initial_radius: float = 1.0,
     final_radius: float = 1e-4,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, float]:
+) -> Generator:
     """Linear-model trust-region minimization of a (noisy) black box.
 
-    Spends exactly ``budget`` objective evaluations: first theta0 and the
-    n coordinate points theta0 + rho e_i that seed the simplex, then one
-    evaluation per step.  Steps are either trust-region moves of length
-    rho against the interpolated gradient, geometry refreshes that pull
-    the farthest vertex back to distance rho from the best point, or
-    random probes when the model is flat.  rho halves whenever a move
+    Asks for exactly ``budget`` evaluations, one point per round: first
+    theta0 and the n coordinate points theta0 + rho e_i that seed the
+    simplex, then one point per step.  Steps are either trust-region moves
+    of length rho against the interpolated gradient, geometry refreshes
+    that pull the farthest vertex back to distance rho from the best point,
+    or random probes when the model is flat.  rho halves whenever a move
     fails to improve the best value, never below ``final_radius``.
 
     Returns the best point and its recorded value.
@@ -219,29 +235,17 @@ def trust_region_dfo(
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     rho = initial_radius
-    evals = 0
 
-    points = np.empty((n + 1, n))
-    values = np.empty(n + 1)
-    filled = 0
-
-    def ev(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return float(objective(x))
-
-    points[0], values[0] = theta0, ev(theta0)
-    filled = 1
-    for i in range(n):
-        if evals >= budget:
-            break
+    filled = 1 + min(n, budget - 1)  # the simplex, cut short by a small budget
+    points = np.empty((filled, n))
+    values = np.empty(filled)
+    points[0], values[0] = theta0, (yield theta0)
+    for i in range(1, filled):
         x = theta0.copy()
-        x[i] += rho
-        points[filled], values[filled] = x, ev(x)
-        filled += 1
-    points, values = points[:filled], values[:filled]
+        x[i - 1] += rho
+        points[i], values[i] = x, (yield x)
 
-    while evals < budget:
+    for _ in range(budget - filled):
         best = int(np.argmin(values))
         worst = int(np.argmax(values))
         offsets = points - points[best]
@@ -251,7 +255,7 @@ def trust_region_dfo(
         if dists[far] > 3.0 * rho:
             # geometry refresh: keep the simplex at the trust-region scale
             x = points[best] + rho * _random_unit(rng, n)
-            points[far], values[far] = x, ev(x)
+            points[far], values[far] = x, (yield x)
             continue
 
         mask = np.arange(filled) != best
@@ -269,14 +273,14 @@ def trust_region_dfo(
         if gnorm <= 1e-12 * max(1.0, abs(values[best])):
             # flat model, usually drowned by shot noise: probe and shrink
             x = points[best] + rho * _random_unit(rng, n)
-            f = ev(x)
+            f = yield x
             if f < values[worst]:
                 points[worst], values[worst] = x, f
             rho = max(0.5 * rho, final_radius)
             continue
 
         x = points[best] - (rho / gnorm) * grad
-        f = ev(x)
+        f = yield x
         if f < values[best]:
             points[worst], values[worst] = x, f
         else:
@@ -288,31 +292,42 @@ def trust_region_dfo(
     return points[best].copy(), float(values[best])
 
 
-class _TracedEvaluator:
-    """Cost evaluations with shot accounting, hit tracking, and trace rows."""
+def trust_region_dfo(
+    objective: Callable[[np.ndarray], float],
+    theta0: np.ndarray,
+    budget: int,
+    initial_radius: float = 1.0,
+    final_radius: float = 1e-4,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, float]:
+    """``trust_region_rounds`` on a callable objective."""
+    rounds = trust_region_rounds(theta0, budget, initial_radius, final_radius, rng)
+    return _minimize(rounds, objective)
 
-    def __init__(self, spec, table, kind, shots, noise, rng, tracker):
-        self.spec = spec
-        self.table = table
-        self.kind = kind
-        self.shots = shots
-        self.noise = noise
-        self.rng = rng
-        self.tracker = tracker
-        self.records: list[IterationRecord] = []
-        self.n_calls = 0
-        self.last_samples: SampleSet | None = None
 
-    def __call__(self, theta: np.ndarray) -> float:
-        samples = _sample_once(self.spec, theta, self.table, self.shots, self.noise, self.rng)
-        self.tracker.observe(samples)
-        value = cost(samples, self.kind)
-        self.n_calls += samples.shots_spent
-        self.last_samples = samples
-        self.records.append(
-            IterationRecord(len(self.records) + 1, value, self.tracker.f_min, self.n_calls)
-        )
-        return value
+def gradient_descent_rounds(
+    theta0: np.ndarray, n_iter: int, config: GradientDescentConfig
+) -> Generator:
+    """theta -= eta * grad over ``n_iter`` rounds of (theta, shifted points).
+
+    Each round is sent the mean costs of its points.  Returns (final theta, None).
+    """
+    if config.gradient == "param-shift":
+        shift, denominator = PARAM_SHIFT_RULE
+    else:
+        shift, denominator = config.step, 2.0 * config.step
+    theta = np.array(theta0, dtype=float)
+    for _ in range(n_iter):
+        means = yield theta, shifted_points(theta, shift)
+        grad = central_difference(means, denominator)
+        theta = step_gradient_descent(theta, grad, config.learning_rate)
+    return theta, None
+
+
+def _measure_once(theta0: np.ndarray) -> Generator:
+    """The n_iter = 0 run: one round measuring theta0."""
+    value = yield theta0
+    return theta0, value
 
 
 def run(
@@ -347,30 +362,50 @@ def run(
         if spec.family != "vqe-ry-cnot":
             raise DomainError("parameter-shift gradients require the RY-CNOT family")
 
-    table = energy_table(instance)
-    tracker = MinimumTracker(ground.minimizers)
-    evaluator = _TracedEvaluator(spec, table, cost_kind, shots, noise, rng, tracker)
-
+    gradient = isinstance(config, GradientDescentConfig) and n_iter > 0
     if n_iter == 0:
-        evaluator(theta0)
-        final_theta = theta0
+        rounds = _measure_once(theta0)
     elif isinstance(config, TrustRegionConfig):
-        final_theta, _ = trust_region_dfo(
-            evaluator,
-            theta0,
-            budget=n_iter,
-            initial_radius=config.initial_radius,
-            final_radius=config.final_radius,
-            rng=rng,
+        rounds = trust_region_rounds(
+            theta0, n_iter, config.initial_radius, config.final_radius, rng
         )
     elif isinstance(config, HillClimbConfig):
-        final_theta, _ = hill_climb(evaluator, theta0, n_iter, config.step_norm, rng)
-    elif isinstance(config, GradientDescentConfig):
-        final_theta = _run_gradient_descent(
-            spec, instance, config, n_iter, theta0, noise, rng, evaluator
-        )
+        rounds = hill_climb_rounds(theta0, n_iter, config.step_norm, rng)
+    elif gradient:
+        rounds = gradient_descent_rounds(theta0, n_iter, config)
     else:
         raise DomainError(f"unknown optimizer config {type(config).__name__}")
+    # gradient rounds are scored with the mean whatever the run's cost kind
+    kind, per_point = (MEAN, config.shots_per_circuit) if gradient else (cost_kind, shots)
+
+    table = energy_table(instance)
+    tracker = MinimumTracker(ground.minimizers)
+    records: list[IterationRecord] = []
+    n_calls = 0
+    last: SampleSet | None = None
+    ask = next(rounds)
+    while True:
+        theta, points = ask if gradient else (ask, [ask])
+        if per_point is None:
+            # exact-expectation gradient mode: nothing is sampled or counted
+            values = [exact_cost(spec, x, instance) for x in points]
+            row_cost = exact_cost(spec, theta, instance)
+        else:
+            sets = [sample(spec, x, table, per_point, noise, rng) for x in points]
+            for samples in sets:
+                tracker.observe(samples)
+                n_calls += samples.shots_spent
+            values = [cost(samples, kind) for samples in sets]
+            row_cost = values[0]
+            if gradient:
+                row_cost = float(np.mean(np.concatenate([s.energies for s in sets])))
+            last = sets[-1]
+        records.append(IterationRecord(len(records) + 1, row_cost, tracker.f_min, n_calls))
+        try:
+            ask = rounds.send(values if gradient else values[0])
+        except StopIteration as done:
+            final_theta = done.value[0]
+            break
 
     success = tracker.hit
     probe_shots = 0
@@ -380,56 +415,22 @@ def run(
     elif final_probe:
         # terminal measurement only; deliberately kept out of the tracker so
         # success/first_hit_calls reflect the optimization loop alone
-        probe = _sample_once(spec, final_theta, table, shots, noise, rng)
+        probe = sample(spec, final_theta, table, shots, noise, rng)
         psucc_hit = bool(minimizer_hits(probe.bitstrings, minimizers).any())
         probe_shots = shots
     else:
-        last = evaluator.last_samples
-        psucc_hit = (
-            bool(minimizer_hits(last.bitstrings, minimizers).any())
-            if last is not None
-            else False
-        )
+        psucc_hit = last is not None and bool(minimizer_hits(last.bitstrings, minimizers).any())
 
     return RunTrace(
-        records=evaluator.records,
+        records=records,
         final_theta=np.asarray(final_theta, dtype=float),
         success=success,
         psucc_hit=psucc_hit,
         first_hit_calls=tracker.first_hit_calls,
         f_min=tracker.f_min,
-        n_calls=evaluator.n_calls,
+        n_calls=n_calls,
         probe_shots=probe_shots,
     )
-
-
-def _run_gradient_descent(spec, instance, config, n_iter, theta0, noise, rng, evaluator):
-    theta = np.array(theta0, dtype=float)
-    exact = config.shots_per_circuit is None
-    for _ in range(n_iter):
-        if config.gradient == "param-shift":
-            grad, shots_spent, sets = _grad_param_shift_full(
-                spec, theta, instance, config.shots_per_circuit, rng, noise
-            )
-        else:
-            grad, shots_spent, sets = _grad_finite_diff_full(
-                spec, theta, instance, config.step, config.shots_per_circuit, rng, noise
-            )
-        if exact:
-            value = exact_cost(spec, theta, instance)
-        else:
-            for samples in sets:
-                evaluator.tracker.observe(samples)
-            evaluator.last_samples = sets[-1]
-            value = float(np.mean(np.concatenate([s.energies for s in sets])))
-        evaluator.n_calls += shots_spent
-        evaluator.records.append(
-            IterationRecord(
-                len(evaluator.records) + 1, value, evaluator.tracker.f_min, evaluator.n_calls
-            )
-        )
-        theta = step_gradient_descent(theta, grad, config.learning_rate)
-    return theta
 
 
 def write_trace(path: str | Path, trace: RunTrace, config_echo: dict) -> None:
@@ -468,4 +469,4 @@ def write_trace(path: str | Path, trace: RunTrace, config_echo: dict) -> None:
             sort_keys=True,
         )
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,56 @@ def test_threads_env_fallback(monkeypatch):
     args = parser.parse_args(["sweep", "--spec", "s", "--grid", "g", "--reps", "1",
                               "--out", "o"])
     assert args.threads == 3
+
+
+def _bad_sweep_spec(**changes):
+    spec = {"family": "qaoa", "size": 4, "depth": 1, "optimizer": {"name": "hill-climb"},
+            "cost_alpha": 0.25}
+    spec.update(changes)
+    return spec
+
+
+# (case, files to write into the working directory, argv, extra env, exit code)
+_BAD_INPUTS = [
+    ("unknown cost kind", {}, ["run", "--instance", "inst.json", "--cost", "cvarxx",
+                               "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 2),
+    ("non-integer VQOPT_THREADS", {"spec.json": _bad_sweep_spec()},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"],
+     {"VQOPT_THREADS": "abc"}, 2),
+    ("misspelled spec field", {"spec.json": _bad_sweep_spec(cost_alfa=0.5)},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("misspelled optimizer field",
+     {"spec.json": _bad_sweep_spec(optimizer={"name": "hill-climb", "step_nrom": 0.1})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("exact-mode gradient sweep",
+     {"spec.json": _bad_sweep_spec(optimizer={"name": "gradient-descent",
+                                              "gradient": "finite-diff",
+                                              "shots_per_circuit": None})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("missing spec file", {},
+     ["sweep", "--spec", "nope.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("sweep result without cells",
+     {"sweep.json": {"schema_version": 1, "result_type": "sweep",
+                     "problem": {"family": "qaoa", "size": 4, "depth": 1},
+                     "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
+                     "master_seed": 0, "final_probe": False, "noise": None}},
+     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+]
+
+
+@pytest.mark.parametrize("case, files, argv, env, code", _BAD_INPUTS,
+                         ids=[row[0] for row in _BAD_INPUTS])
+def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, code):
+    run_cli("gen-instance", "--kind", "ferro", "--size", "4", "--out", str(tmp_path / "inst.json"))
+    (tmp_path / "grid.json").write_text(json.dumps({"shots": [4], "iters": [2]}))
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc_env = {**os.environ, **env,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "vqopt", *argv], cwd=tmp_path, env=proc_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

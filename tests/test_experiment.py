@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,10 @@ def test_sweep_rejects_bad_arguments():
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [], 10, 0)
     with pytest.raises(DomainError):
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5)], 0, 0)
+    # exact-mode gradient descent draws no shots, so no cell could ever hit
+    exact = opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=None)
+    with pytest.raises(DomainError):
+        exp.success_sweep(problem, exact, est.MEAN, [(8, 5)], 2, 0)
 
 
 def geometric_quantile_cell(size: int, repetitions: int, budget_iters: int) -> exp.CellResult:
@@ -294,6 +299,57 @@ def test_persistence_schema_errors(tmp_path):
     path.write_text(json.dumps({"result_type": "mystery"}))
     with pytest.raises(SchemaError):
         exp.load_result(path)
+
+    good = json.dumps(sweep.to_json(), sort_keys=True)
+    mutations = [
+        good[: len(good) // 2],  # truncated file
+        "[]",
+        json.dumps({k: v for k, v in sweep.to_json().items() if k != "cells"}),
+        good.replace('"hit_calls"', '"hit_cals"'),
+        good.replace('"repetitions": 5', '"repetitions": "five"'),
+    ]
+    for text in mutations:
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            exp.load_result(path)
+    without_cells = {k: v for k, v in sweep.to_json().items() if k != "cells"}
+    with pytest.raises(SchemaError):
+        exp.SweepResult.from_json(without_cells)
+
+
+@pytest.mark.parametrize("writer", ["save_result", "write_trace"])
+def test_result_writes_are_atomic(tmp_path, monkeypatch, writer):
+    if writer == "save_result":
+        sweep = small_sweep(repetitions=5)
+        write = lambda path: exp.save_result(sweep, path)  # noqa: E731
+        expected = json.dumps(sweep.to_json(), sort_keys=True) + "\n"
+    else:
+        inst = ising.make_ferromagnetic(4)
+        spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 4, 1, instance=inst)
+        trace = opt.run(spec, inst, ising.brute_force_minimum(inst), opt.HillClimbConfig(),
+                        est.CVAR25, 8, 3, np.zeros(2), rng=np.random.default_rng(1))
+        write = lambda path: opt.write_trace(path, trace, {"seed": 1})  # noqa: E731
+        expected = None  # trace bytes are pinned by test_optimizer's digests
+
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "result.json"
+    write(target)
+    assert expected is None or target.read_text() == expected
+    assert [p.name for p in out.iterdir()] == ["result.json"]
+
+    target.write_text("previous contents\n")
+
+    def interrupted(self, text, *args, **kwargs):
+        with open(self, "w") as handle:
+            handle.write(text[:10])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write(target)
+    assert target.read_text() == "previous contents\n"
+    assert [p.name for p in out.iterdir()] == ["result.json"]
 
 
 def test_report_renders(tmp_path):
