@@ -8,7 +8,6 @@ printed to stdout).  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -22,7 +21,7 @@ from . import experiment as exp
 from . import ising
 from . import optimizer as opt
 from . import report as rpt
-from .errors import DomainError, VqoptError
+from .errors import DomainError, SchemaError, VqoptError
 from .estimator import CostKind
 from .simulator import NoiseModel
 
@@ -34,10 +33,6 @@ _KINDS = {"ferro": ising.FERROMAGNETIC, "ferromagnetic": ising.FERROMAGNETIC,
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
-
-
-def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def _optimizer_config(name: str, args) -> opt.OptimizerConfig:
@@ -94,7 +89,7 @@ def _cmd_run(args, parser) -> int:
         instance=instance if family == anz.FAMILY_QAOA else None,
     )
     config = _optimizer_config(args.optimizer, args)
-    noise = None if args.noise is None else NoiseModel.from_json(_load_json(args.noise))
+    noise = None if args.noise is None else NoiseModel.from_json(ising.read_json(args.noise))
     rng = np.random.default_rng(args.seed)
     if args.init == "linear":
         theta0 = anz.init_linear_schedule(args.depth, args.dt)
@@ -126,9 +121,8 @@ def _cmd_run(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    problem, config, kind, noise = exp.sweep_spec_from_json(_load_json(args.spec))
-    grid_obj = _load_json(args.grid)
-    grid = [(int(m), int(n)) for m in grid_obj["shots"] for n in grid_obj["iters"]]
+    problem, config, kind, noise = exp.sweep_spec_from_json(ising.read_json(args.spec))
+    grid = exp.grid_from_json(ising.read_json(args.grid))
     sweep = exp.success_sweep(
         problem, config, kind, grid, args.reps, args.seed,
         threads=args.threads, noise=noise, final_probe=args.final_probe,
@@ -275,31 +269,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(args, argv: list[str]) -> None:
-    """Fill flags that were not given on the command line from --config."""
-    if not args.config:
-        return
-    defaults = _load_json(args.config)
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
+def _with_config(argv: list[str]) -> list[str]:
+    """Splice the ``--config`` file in as flags right after the subcommand.
+
+    Each key becomes ``--key=value`` (a list joins with commas; a
+    ``store_true`` flag takes true or false), so argparse converts and
+    checks it like a typed flag and can meet a required flag with it.  The
+    command line's own flags come later and so win.  An unknown key is a
+    usage error.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if not known.config:
+        return argv
+    values = ising.read_json(known.config)
+    if not isinstance(values, dict):
+        raise SchemaError(f"{known.config} must hold a JSON object")
+    tokens = []
+    for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        given = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if hasattr(args, attr) and not given:
-            setattr(args, attr, value)
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    command = next(
+        (k for k, a in enumerate(argv) if not a.startswith("-") and a != known.config), len(argv)
+    )
+    return argv[: command + 1] + tokens + argv[command + 1 :]
 
 
 def dispatch(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    _apply_config_defaults(args, argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(_with_config(argv))
+        if args.verbose:
+            logging.getLogger().setLevel(logging.DEBUG)
         if args.command == "gen-instance":
             return _cmd_gen_instance(args)
         if args.command == "run":

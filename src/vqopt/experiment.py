@@ -8,6 +8,14 @@ one run contributes a whole curve rather than a single point.  P_succ
 (terminal-sample success) is recorded when the sweep is asked to probe
 the final parameters.
 
+Runs are seeded by (instance, M, repetition), so a shorter budget at the
+same M only truncates the same run.  A sweep therefore makes one run per
+(instance, M, repetition) at the longest n_iter of that M and cuts every
+cell at that M from its trace.  Two kinds of cell keep a run of their own:
+the cells of a ``final_probe`` sweep (the probe draws after the last
+round) and gradient descent's n_iter = 0 cell (it measures theta0, where
+gradient descent's first round samples shifted points).
+
 Disordered problems are ensembles: each cell is aggregated per instance
 first, then summarized by the median and the 25th/75th percentiles
 across realizations.  Single-instance cells carry Wilson intervals
@@ -37,8 +45,7 @@ from .ising import (
     GroundTruth,
     IsingInstance,
     brute_force_minimum,
-    make_disordered,
-    make_ferromagnetic,
+    make_instances,
     write_atomic,
 )
 from .simulator import NoiseModel
@@ -125,9 +132,7 @@ class ProblemSpec:
             raise DomainError("the linear schedule only applies to qaoa")
 
     def instances(self) -> list[IsingInstance]:
-        if self.kind == FERROMAGNETIC:
-            return [make_ferromagnetic(self.size)]
-        return [make_disordered(self.size, s) for s in self.instance_seeds]
+        return make_instances(self.size, self.kind, self.instance_seeds)
 
     def to_json(self) -> dict:
         return {
@@ -347,45 +352,68 @@ def sweep_spec_from_json(
         )
 
 
-def _run_cell_block(
+def grid_from_json(obj: dict) -> list[tuple[int, int]]:
+    """Parse a grid file, ``{"shots": [...], "iters": [...]}``, into its
+    (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError."""
+    with _parsing("grid"):
+        _check_fields(obj, ("shots", "iters"), "grid")
+        return [(int(m), int(n)) for m in obj["shots"] for n in obj["iters"]]
+
+
+def _shares_prefix(config: opt.OptimizerConfig, final_probe: bool, iters: int) -> bool:
+    """Whether a cell is cut from the longest run at its M rather than run alone.
+
+    A final probe draws from the run's generator after its last round, and
+    gradient descent's n_iter = 0 run measures theta0 with M shots where its
+    first round samples shifted points; neither run is a prefix of a longer one.
+    """
+    return not final_probe and not (iters == 0 and isinstance(config, opt.GradientDescentConfig))
+
+
+def _run_shots_block(
     problem: ProblemSpec,
     config: opt.OptimizerConfig,
     kind: CostKind,
     master_seed: int,
     noise: NoiseModel | None,
     final_probe: bool,
-    task: tuple[int, IsingInstance, GroundTruth, int, int, int, range],
-) -> tuple[int, int, list[int], int, int]:
-    """Run one block of repetitions of one cell on one instance.
+    task: tuple[int, IsingInstance, GroundTruth, int, tuple[tuple[int, int], ...], range],
+) -> tuple[int, list[tuple[int, list[int], int, int]]]:
+    """Run one block of repetitions of every cell at one M on one instance.
 
-    ``task`` is (instance index, instance, ground truth, cell index, M,
-    n_iter, repetitions); returns (instance index, cell index, hits,
-    psucc count, budget_calls).
+    ``task`` is (instance index, instance, ground truth, M, the (cell index,
+    n_iter) pairs at that M, repetitions).  A repetition makes one run at the
+    longest n_iter of the sharing cells and cuts each of them from its trace
+    at the cell's budget; cells that cannot share get a run of their own.
+    Returns (instance index, [(cell index, hits, psucc count, budget_calls)]).
     """
-    instance_index, instance, ground, cell_index, shots, iters, reps = task
+    instance_index, instance, ground, shots, cells, reps = task
     spec = _ansatz_for(problem, instance)
-    hits: list[int] = []
-    psucc = 0
-    budget = -1
+    longest = max((n for _, n in cells if _shares_prefix(config, final_probe, n)), default=0)
+    hits: dict[int, list[int]] = {cell_index: [] for cell_index, _ in cells}
+    psucc = dict.fromkeys(hits, 0)
+    budgets: dict[int, int] = {}
     for rep in reps:
-        # keyed by shots, not by grid position: cells sharing M share their
-        # run prefixes exactly (success is cumulative in n_iter), and results
-        # cannot depend on grid ordering
-        rng = np.random.default_rng([master_seed, instance_index, shots, rep])
-        theta0 = _theta0_for(problem, spec, rng)
-        trace = opt.run(
-            spec, instance, ground, config, kind, shots, iters, theta0,
-            noise=noise, rng=rng, final_probe=final_probe,
-        )
-        if trace.first_hit_calls is not None:
-            hits.append(trace.first_hit_calls)
-        if trace.psucc_hit:
-            psucc += 1
-        if budget < 0:
-            budget = trace.n_calls
-        elif budget != trace.n_calls:
-            raise DomainError("inconsistent run budgets within one cell")
-    return instance_index, cell_index, hits, psucc, budget
+        traces: dict[int, opt.RunTrace] = {}  # run length -> its trace
+        for cell_index, iters in cells:
+            length = longest if _shares_prefix(config, final_probe, iters) else iters
+            if length not in traces:
+                rng = np.random.default_rng([master_seed, instance_index, shots, rep])
+                theta0 = _theta0_for(problem, spec, rng)
+                traces[length] = opt.run(
+                    spec, instance, ground, config, kind, shots, length, theta0,
+                    noise=noise, rng=rng, final_probe=final_probe,
+                )
+            trace = traces[length]
+            budget = trace.records[max(1, iters) - 1].n_calls
+            hit = trace.first_hit_calls is not None and trace.first_hit_calls <= budget
+            if hit:
+                hits[cell_index].append(trace.first_hit_calls)
+            # an n_iter = 0 cell's terminal sample is its only sample
+            psucc[cell_index] += int(hit if iters == 0 else trace.psucc_hit)
+            if budgets.setdefault(cell_index, budget) != budget:
+                raise DomainError("inconsistent run budgets within one cell")
+    return instance_index, [(c, hits[c], psucc[c], budgets[c]) for c, _ in cells]
 
 
 def success_sweep(
@@ -403,7 +431,13 @@ def success_sweep(
 
     Every run gets its own generator seeded by (master_seed, instance, M,
     repetition), so results are reproducible and independent of the worker
-    count and of the grid order.
+    count and of the grid order.  Each (instance, M, repetition) makes one
+    run at the longest n_iter among the cells at M; a cell takes its budget
+    from that trace's row n_iter (row 1 for n_iter = 0), counts the run's
+    first hit when it falls within that budget, and, at n_iter = 0, takes
+    that hit as its terminal-sample success.  The cells of a ``final_probe``
+    sweep and gradient descent's n_iter = 0 cells are run on their own, so
+    every cell equals the cell of a sweep whose grid is that cell alone.
     """
     if not grid:
         raise DomainError("empty grid")
@@ -411,17 +445,24 @@ def success_sweep(
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     if isinstance(config, opt.GradientDescentConfig) and config.shots_per_circuit is None:
         raise DomainError("exact-mode gradient descent samples nothing, so it cannot be swept")
+    if any(iters < 0 for _, iters in grid):
+        raise DomainError(f"n_iter must be >= 0, got grid {grid}")
     instances = problem.instances()
     grounds = [brute_force_minimum(inst) for inst in instances]
 
+    # Runs are seeded by M, not by grid position: the cells at one M share
+    # their run prefixes exactly, and results cannot depend on grid order.
+    by_shots: dict[int, list[tuple[int, int]]] = {}
+    for cell_idx, (shots, iters) in enumerate(grid):
+        by_shots.setdefault(shots, []).append((cell_idx, iters))
     block = max(1, repetitions if threads <= 1 else math.ceil(repetitions / (4 * threads)))
     tasks = [
-        (inst_idx, instance, ground, cell_idx, shots, iters, range(lo, min(lo + block, repetitions)))
+        (inst_idx, instance, ground, shots, tuple(cells), range(lo, min(lo + block, repetitions)))
         for inst_idx, (instance, ground) in enumerate(zip(instances, grounds))
-        for cell_idx, (shots, iters) in enumerate(grid)
+        for shots, cells in by_shots.items()
         for lo in range(0, repetitions, block)
     ]
-    run_block = partial(_run_cell_block, problem, config, cost_kind, master_seed, noise, final_probe)
+    run_block = partial(_run_shots_block, problem, config, cost_kind, master_seed, noise, final_probe)
     if threads <= 1:
         outcomes = [run_block(task) for task in tasks]
     else:
@@ -431,12 +472,13 @@ def success_sweep(
     hit_map: dict[tuple[int, int], list[int]] = {}
     psucc_map: dict[tuple[int, int], int] = {}
     budget_map: dict[int, int] = {}
-    for inst_idx, cell_idx, hits, psucc, budget in outcomes:
-        key = (inst_idx, cell_idx)
-        hit_map.setdefault(key, []).extend(hits)
-        psucc_map[key] = psucc_map.get(key, 0) + psucc
-        if budget_map.setdefault(cell_idx, budget) != budget:
-            raise DomainError("inconsistent budgets across instances")
+    for inst_idx, cell_outcomes in outcomes:
+        for cell_idx, hits, psucc, budget in cell_outcomes:
+            key = (inst_idx, cell_idx)
+            hit_map.setdefault(key, []).extend(hits)
+            psucc_map[key] = psucc_map.get(key, 0) + psucc
+            if budget_map.setdefault(cell_idx, budget) != budget:
+                raise DomainError("inconsistent budgets across instances")
 
     cells = []
     for cell_idx, (shots, iters) in enumerate(grid):
@@ -715,10 +757,7 @@ def depth_sweep(
     """
     cells = []
     for size in sizes:
-        if kind == FERROMAGNETIC:
-            instances = [make_ferromagnetic(size)]
-        else:
-            instances = [make_disordered(size, s) for s in instance_seeds]
+        instances = make_instances(size, kind, instance_seeds)
         grounds = [brute_force_minimum(inst) for inst in instances]
         for depth in depths:
             p_gs: list[float] = []

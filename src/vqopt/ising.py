@@ -119,6 +119,13 @@ def make_disordered(size: int, seed: int) -> IsingInstance:
     )
 
 
+def make_instances(size: int, kind: str, seeds) -> list[IsingInstance]:
+    """The one ferromagnetic chain, or one disordered instance per seed."""
+    if kind == FERROMAGNETIC:
+        return [make_ferromagnetic(size)]
+    return [make_disordered(size, s) for s in seeds]
+
+
 def _check_capacity(size: int) -> None:
     if size > MAX_ENUM_SIZE:
         raise CapacityError(
@@ -173,6 +180,8 @@ def to_json(instance: IsingInstance) -> dict:
 
 
 def from_json(obj: dict) -> IsingInstance:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"an instance must be a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported instance schema_version {version}")
@@ -204,5 +213,13 @@ def save_instance(instance: IsingInstance, path: str | Path) -> None:
     write_atomic(path, json.dumps(to_json(instance), indent=2) + "\n")
 
 
+def read_json(path: str | Path):
+    """Parse a JSON input file; text that is not JSON raises SchemaError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_instance(path: str | Path) -> IsingInstance:
-    return from_json(json.loads(Path(path).read_text()))
+    return from_json(read_json(path))

@@ -148,6 +148,36 @@ def test_config_file_defaults(tmp_path):
     assert json.loads(out2.read_text())["seed"] == 21
 
 
+def test_config_file_goes_through_argparse(tmp_path):
+    config = tmp_path / "config.json"
+    # a string value is converted by the flag's type
+    config.write_text(json.dumps({"reps": "3", "instance_seeds": [4, 5]}))
+    out = tmp_path / "depth"
+    assert dispatch(["--config", str(config), "depth-sweep", "--depths", "1", "--sizes", "4",
+                     "--kind", "disordered", "--out", str(out)]) == 0
+    payload = json.loads((out / "depth_sweep.json").read_text())
+    assert payload["repetitions"] == 3 and payload["instance_seeds"] == [4, 5]
+
+    # a required flag can come from the file; store_true keys take true/false;
+    # the command line wins over the file
+    spec_path, grid_path = _write_sweep_inputs(tmp_path, size=4)
+    config.write_text(json.dumps({"reps": 2, "seed": 9, "final_probe": True}))
+    out = tmp_path / "sweep"
+    assert dispatch(["--config", str(config), "sweep", "--spec", str(spec_path),
+                     "--grid", str(grid_path), "--seed", "4", "--out", str(out)]) == 0
+    payload = json.loads((out / "sweep_L4.json").read_text())
+    assert payload["repetitions"] == 2 and payload["final_probe"] is True
+    assert payload["master_seed"] == 4
+
+    # a value argparse rejects, or a key no flag matches, is a usage error
+    for bad in ({"reps": "two"}, {"final_probe": "yes"}, {"reps": True}, {"bogus": 1}):
+        config.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["--config", str(config), "sweep", "--spec", str(spec_path),
+                      "--grid", str(grid_path), "--out", str(out)])
+        assert exc.value.code == 2, bad
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("VQOPT_THREADS", "3")
     parser = build_parser()
@@ -188,6 +218,26 @@ _BAD_INPUTS = [
                      "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
                      "master_seed": 0, "final_probe": False, "noise": None}},
      ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+    ("grid without iters", {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [4]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("grid without shots", {"spec.json": _bad_sweep_spec(), "grid.json": {"iters": [2]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("spec not JSON", {"spec.json": '{"family": "qaoa",'},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("grid not JSON", {"spec.json": _bad_sweep_spec(), "grid.json": '{"shots": [4], "iters"'},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("instance not JSON", {"inst.json": '{"L": 4, "coup'},
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+    ("noise not JSON", {"noise.json": "t1_us = 50"},
+     ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4", "--iters", "2",
+      "--out", "t.jsonl"], {}, 1),
+    ("config not JSON", {"config.json": '{"seed": '},
+     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], {}, 1),
+    ("config value of the wrong type", {"config.json": {"reps": "three"}},
+     ["--config", "config.json", "depth-sweep", "--depths", "1", "--sizes", "4", "--out", "o"],
+     {}, 2),
+    ("unknown config key", {"config.json": {"repetitions": 3}},
+     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], {}, 2),
 ]
 
 
@@ -196,8 +246,8 @@ _BAD_INPUTS = [
 def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, code):
     run_cli("gen-instance", "--kind", "ferro", "--size", "4", "--out", str(tmp_path / "inst.json"))
     (tmp_path / "grid.json").write_text(json.dumps({"shots": [4], "iters": [2]}))
-    for name, content in files.items():
-        (tmp_path / name).write_text(json.dumps(content))
+    for name, content in files.items():  # a string is written as is, so it may be bad JSON
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc_env = {**os.environ, **env,

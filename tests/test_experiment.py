@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from vqopt import ansatz as anz, estimator as est, experiment as exp, ising, optimizer as opt
+from vqopt import simulator as sim
 from vqopt.errors import DomainError, SchemaError
 
 
@@ -94,6 +96,9 @@ def test_sweep_threaded_matches_serial():
     serial = small_sweep(repetitions=20)
     threaded = small_sweep(repetitions=20, threads=2)
     assert serial == threaded
+    # a product grid, whose cells at one M are cut from one run
+    serial = _sharing_sweep("hill-climb", _SHARING_GRID, noisy=True)
+    assert _sharing_sweep("hill-climb", _SHARING_GRID, noisy=True, threads=2) == serial
 
 
 def test_sweep_rejects_bad_arguments():
@@ -102,6 +107,9 @@ def test_sweep_rejects_bad_arguments():
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [], 10, 0)
     with pytest.raises(DomainError):
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5)], 0, 0)
+    # a negative n_iter is rejected even where a longer cell at its M could cover it
+    with pytest.raises(DomainError):
+        exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5), (8, -1)], 2, 0)
     # exact-mode gradient descent draws no shots, so no cell could ever hit
     exact = opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=None)
     with pytest.raises(DomainError):
@@ -181,6 +189,89 @@ def test_same_shots_cells_share_run_prefixes():
     for calls in short.checkpoints():
         assert short.fsucc(calls) == long.fsucc(calls)
     assert long.fsucc() >= short.fsucc()
+
+
+_SHARING_OPTIMIZERS = {
+    "trust-region": opt.TrustRegionConfig(),
+    "hill-climb": opt.HillClimbConfig(step_norm=0.3),
+    "gd-param-shift": opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=3),
+    "gd-finite-diff": opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=2),
+}
+_SHARING_GRID = [(m, n) for m in (4, 16) for n in (0, 1, 3, 7)] + [(16, 3)]
+_NOISE = sim.NoiseModel(t1_us=2.0, t2_us=3.0)
+
+
+def _sharing_sweep(name, grid, noisy=False, probe=False, threads=1):
+    problem = exp.ProblemSpec("vqe-ry-cnot", 4, 1, "disordered", instance_seeds=(3, 8))
+    return exp.success_sweep(
+        problem, _SHARING_OPTIMIZERS[name], est.CVAR25, grid, 3, 17, threads=threads,
+        noise=_NOISE if noisy else None, final_probe=probe,
+    )
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["noprobe", "probe"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("name", list(_SHARING_OPTIMIZERS))
+def test_multi_cell_sweep_equals_one_cell_sweeps(name, noisy, probe):
+    # cells at one M are cut from that M's longest run; each must come out
+    # exactly as a sweep whose grid is that cell alone
+    sweep = _sharing_sweep(name, _SHARING_GRID, noisy, probe)
+    for index, (shots, iters) in enumerate(_SHARING_GRID):
+        alone = _sharing_sweep(name, [(shots, iters)], noisy, probe)
+        assert sweep.cells[index] == alone.cells[0], (shots, iters)
+
+
+@pytest.mark.parametrize("name, extra_runs", [("trust-region", 0), ("gd-finite-diff", 1)])
+def test_sweep_runs_each_m_once_at_its_longest_n_iter(monkeypatch, name, extra_runs):
+    # per (instance, M, repetition): one run at the longest n_iter, plus, for
+    # gradient descent, the n_iter = 0 cell's own one-round run
+    runs = []
+    real_run = opt.run
+
+    def counting_run(*args, **kwargs):
+        trace = real_run(*args, **kwargs)
+        runs.append(len(trace.records))
+        return trace
+
+    monkeypatch.setattr(opt, "run", counting_run)
+    grid = [(m, n) for m in (4, 16) for n in (0, 2, 5)] + [(16, 2)]
+    _sharing_sweep(name, grid)
+    units = 2 * 3 * 2  # M values x repetitions x instances
+    assert len(runs) == units * (1 + extra_runs)
+    assert sum(runs) == units * (5 + extra_runs)
+
+
+def _pinned_sweep_bytes(tmp_path, name, family, kind, alpha, noisy, probe):
+    problem = exp.ProblemSpec(family, 4, 1, kind, instance_seeds=(3, 8))
+    sweep = exp.success_sweep(
+        problem, _SHARING_OPTIMIZERS[name], est.CostKind(alpha), _SHARING_GRID, 3, 17,
+        noise=_NOISE if noisy else None, final_probe=probe,
+    )
+    path = tmp_path / "sweep.json"
+    exp.save_result(sweep, path)
+    return path.read_bytes()
+
+
+# sha256 of save_result output, computed with the per-cell run loop that ran
+# every cell from scratch; prefix sharing must not move a byte
+_SWEEP_PINS = {
+    ("trust-region", "vqe-ry-cnot", "ferromagnetic", 0.25, False, False):
+        "5e6518d373202b38f394e4af839a1ea2b71ed6519539c884da1b9ff66a792620",
+    ("hill-climb", "qaoa", "disordered", 1.0, True, False):
+        "f707a8886a3e21a7c16092290f8295db740024d61633b7ede0cc10df76211b62",
+    ("gd-param-shift", "vqe-ry-cnot", "disordered", 0.25, False, True):
+        "2c400d4e0ba1aae9aed86ee33cf77d15919daca2597a8bff5f35423056cbccb1",
+    ("gd-finite-diff", "qaoa", "disordered", 1.0, True, False):
+        "29747ed121c607e669f775c527750c1121817210adaf30760d2f1ef8820e167b",
+    ("trust-region", "qaoa", "ferromagnetic", 0.25, True, True):
+        "0b168acf6e44b77602fd55ded6d5e0c1a9d6c33adb9374188b77b772226b5b9d",
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_PINS), ids=lambda c: "-".join(map(str, c)))
+def test_sweep_bytes_pinned(tmp_path, case):
+    digest = hashlib.sha256(_pinned_sweep_bytes(tmp_path, *case)).hexdigest()
+    assert digest == _SWEEP_PINS[case]
 
 
 def test_optimal_calls_unreached_is_explicit():
