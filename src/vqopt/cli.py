@@ -21,6 +21,7 @@ from . import experiment as exp
 from . import ising
 from . import optimizer as opt
 from . import report as rpt
+from .codec import read_json
 from .errors import DomainError, SchemaError, VqoptError
 from .estimator import CostKind
 from .simulator import NoiseModel
@@ -59,7 +60,11 @@ def _cost_kind(text: str) -> CostKind:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exit code 2."""
+    """Reports a usage error as one stderr line and exit code 2, and takes a
+    long flag only when spelled in full (so does a ``--config`` key)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -89,7 +94,7 @@ def _cmd_run(args, parser) -> int:
         instance=instance if family == anz.FAMILY_QAOA else None,
     )
     config = _optimizer_config(args.optimizer, args)
-    noise = None if args.noise is None else NoiseModel.from_json(ising.read_json(args.noise))
+    noise = None if args.noise is None else NoiseModel.from_json(read_json(args.noise), "noise")
     rng = np.random.default_rng(args.seed)
     if args.init == "linear":
         theta0 = anz.init_linear_schedule(args.depth, args.dt)
@@ -121,8 +126,8 @@ def _cmd_run(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    problem, config, kind, noise = exp.sweep_spec_from_json(ising.read_json(args.spec))
-    grid = exp.grid_from_json(ising.read_json(args.grid))
+    problem, config, kind, noise = exp.sweep_spec_from_json(read_json(args.spec))
+    grid = exp.grid_from_json(read_json(args.grid))
     sweep = exp.success_sweep(
         problem, config, kind, grid, args.reps, args.seed,
         threads=args.threads, noise=noise, final_probe=args.final_probe,
@@ -278,12 +283,12 @@ def _with_config(argv: list[str]) -> list[str]:
     command line's own flags come later and so win.  An unknown key is a
     usage error.
     """
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return argv
-    values = ising.read_json(known.config)
+    values = read_json(known.config)
     if not isinstance(values, dict):
         raise SchemaError(f"{known.config} must hold a JSON object")
     tokens = []

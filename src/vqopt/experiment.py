@@ -27,8 +27,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +36,8 @@ import numpy as np
 from . import ansatz as anz
 from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, FAMILY_VQE, AnsatzSpec
-from .errors import DomainError, SchemaError, VqoptError
+from .codec import Record, check_fields, read_json, type_hints, write_atomic
+from .errors import DomainError, SchemaError
 from .estimator import CostKind
 from .ising import (
     DISORDERED,
@@ -46,37 +46,17 @@ from .ising import (
     IsingInstance,
     brute_force_minimum,
     make_instances,
-    write_atomic,
 )
 from .simulator import NoiseModel
 
 SCHEMA_VERSION = 1
 
 
-@contextmanager
-def _parsing(what: str):
-    """Turn a missing or mistyped field met while parsing ``what`` into SchemaError."""
-    try:
-        yield
-    except VqoptError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed {what}: {exc!r}") from exc
-
-
-def _check_fields(obj: dict, allowed, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise SchemaError(f"unknown {what} field(s): {', '.join(unknown)}")
-
-
 # --- problem description -----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class InitSpec:
+class InitSpec(Record):
     """How theta0 is drawn: uniform random angles, the linear schedule, or
     all-zero angles (the no-evolution baseline)."""
 
@@ -90,28 +70,16 @@ class InitSpec:
             raise DomainError(f"unknown init mode {self.mode!r}")
 
     def to_json(self) -> dict:
+        """Only the fields the mode uses (this layout is inside every sweep file)."""
         if self.mode == "random":
             return {"mode": "random", "low": self.low, "high": self.high}
         if self.mode == "zeros":
             return {"mode": "zeros"}
         return {"mode": "linear", "dt": self.dt}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "InitSpec":
-        _check_fields(obj, ("mode", "low", "high", "dt"), "init")
-        if obj.get("mode") == "linear":
-            return cls(mode="linear", dt=float(obj.get("dt", 0.8)))
-        if obj.get("mode") == "zeros":
-            return cls(mode="zeros")
-        return cls(
-            mode="random",
-            low=float(obj.get("low", -math.pi)),
-            high=float(obj.get("high", math.pi)),
-        )
-
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """One benchmark problem: circuit family, size, depth, instance set."""
 
     family: str
@@ -133,27 +101,6 @@ class ProblemSpec:
 
     def instances(self) -> list[IsingInstance]:
         return make_instances(self.size, self.kind, self.instance_seeds)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "size": self.size,
-            "depth": self.depth,
-            "kind": self.kind,
-            "instance_seeds": list(self.instance_seeds),
-            "init": self.init.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProblemSpec":
-        return cls(
-            family=str(obj["family"]),
-            size=int(obj["size"]),
-            depth=int(obj["depth"]),
-            kind=str(obj.get("kind", FERROMAGNETIC)),
-            instance_seeds=tuple(int(s) for s in obj.get("instance_seeds", [0])),
-            init=InitSpec.from_json(obj.get("init", {"mode": "random"})),
-        )
 
 
 def _ansatz_for(problem: ProblemSpec, instance: IsingInstance) -> AnsatzSpec:
@@ -187,7 +134,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 @dataclass
-class CellResult:
+class CellResult(Record):
     """Outcome of R repetitions per instance at one (M, n_iter) grid cell."""
 
     shots: int
@@ -236,16 +183,17 @@ class CellResult:
 
 
 @dataclass
-class SweepResult:
+class SweepResult(Record):
     problem: ProblemSpec
-    optimizer: dict
+    optimizer: dict  # the config's to_json echo
     cost_alpha: float
     repetitions: int
     master_seed: int
     final_probe: bool
     cells: list[CellResult]
-    noise: dict | None = None
-    schema_version: int = SCHEMA_VERSION
+    noise: NoiseModel | None = None
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)
+    result_type: str = field(default="sweep", init=False)
 
     def cell(self, shots: int, iters: int) -> CellResult:
         for c in self.cells:
@@ -253,70 +201,12 @@ class SweepResult:
                 return c
         raise DomainError(f"no cell with shots={shots}, iters={iters}")
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "result_type": "sweep",
-            "problem": self.problem.to_json(),
-            "optimizer": self.optimizer,
-            "cost_alpha": self.cost_alpha,
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "final_probe": self.final_probe,
-            "noise": self.noise,
-            "cells": [
-                {
-                    "shots": c.shots,
-                    "iters": c.iters,
-                    "repetitions": c.repetitions,
-                    "budget_calls": c.budget_calls,
-                    "calls_per_iter": c.calls_per_iter,
-                    "hit_calls": c.hit_calls,
-                    "psucc_hits": c.psucc_hits,
-                }
-                for c in self.cells
-            ],
-        }
-
-    @classmethod
-    @_parsing("sweep result")
-    def from_json(cls, obj: dict) -> "SweepResult":
-        version = obj.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported sweep schema_version {version!r}")
-        cells = [
-            CellResult(
-                shots=int(c["shots"]),
-                iters=int(c["iters"]),
-                repetitions=int(c["repetitions"]),
-                budget_calls=int(c["budget_calls"]),
-                calls_per_iter=int(c["calls_per_iter"]),
-                hit_calls=[[int(h) for h in hits] for hits in c["hit_calls"]],
-                psucc_hits=(
-                    None
-                    if c.get("psucc_hits") is None
-                    else [int(h) for h in c["psucc_hits"]]
-                ),
-            )
-            for c in obj["cells"]
-        ]
-        return cls(
-            problem=ProblemSpec.from_json(obj["problem"]),
-            optimizer=dict(obj["optimizer"]),
-            cost_alpha=float(obj["cost_alpha"]),
-            repetitions=int(obj["repetitions"]),
-            master_seed=int(obj["master_seed"]),
-            final_probe=bool(obj["final_probe"]),
-            noise=obj.get("noise"),
-            cells=cells,
-        )
-
 
 # --- sweep execution ---------------------------------------------------------
 
 
 _OPTIMIZERS = {
-    config().to_json()["name"]: config
+    config.name: config
     for config in (opt.TrustRegionConfig, opt.HillClimbConfig, opt.GradientDescentConfig)
 }
 
@@ -326,13 +216,7 @@ def _optimizer_from_json(obj: dict) -> opt.OptimizerConfig:
     config = _OPTIMIZERS.get(obj.get("name"))
     if config is None:
         raise SchemaError(f"unknown optimizer {obj.get('name')!r}")
-    defaults = config()
-    _check_fields(obj, defaults.to_json(), "optimizer")
-    # cast each value to its default's type (JSON may write 1.0 as 1); None stays None
-    return config(**{
-        k: v if v is None else type(getattr(defaults, k))(v)
-        for k, v in obj.items() if k != "name"
-    })
+    return config.from_json(obj, "optimizer")
 
 
 def sweep_spec_from_json(
@@ -340,24 +224,21 @@ def sweep_spec_from_json(
 ) -> tuple[ProblemSpec, opt.OptimizerConfig, CostKind, NoiseModel | None]:
     """Parse a sweep spec: the problem fields plus ``optimizer``, ``cost_alpha``
     and ``noise``.  Unknown, missing or mistyped fields raise SchemaError."""
-    with _parsing("sweep spec"):
-        fields = [*ProblemSpec.__dataclass_fields__, "optimizer", "cost_alpha", "noise"]
-        _check_fields(obj, fields, "spec")
-        noise = obj.get("noise")
-        return (
-            ProblemSpec.from_json(obj),
-            _optimizer_from_json(obj.get("optimizer", {"name": "trust-region-dfo"})),
-            CostKind(float(obj.get("cost_alpha", 0.25))),
-            None if noise is None else NoiseModel.from_json(noise),
-        )
+    hints = {**type_hints(ProblemSpec), "optimizer": dict, "cost_alpha": float,
+             "noise": NoiseModel | None}
+    spec = check_fields(obj, hints, "spec", required=("family", "size", "depth"))
+    config = _optimizer_from_json(spec.pop("optimizer", {"name": opt.TrustRegionConfig.name}))
+    kind = CostKind(spec.pop("cost_alpha", 0.25))
+    noise = spec.pop("noise", None)
+    return ProblemSpec(**spec), config, kind, noise
 
 
 def grid_from_json(obj: dict) -> list[tuple[int, int]]:
     """Parse a grid file, ``{"shots": [...], "iters": [...]}``, into its
     (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError."""
-    with _parsing("grid"):
-        _check_fields(obj, ("shots", "iters"), "grid")
-        return [(int(m), int(n)) for m in obj["shots"] for n in obj["iters"]]
+    grid = check_fields(obj, {"shots": list[int], "iters": list[int]}, "grid",
+                        required=("shots", "iters"))
+    return [(m, n) for m in grid["shots"] for n in grid["iters"]]
 
 
 def _shares_prefix(config: opt.OptimizerConfig, final_probe: bool, iters: int) -> bool:
@@ -508,7 +389,7 @@ def success_sweep(
         repetitions=repetitions,
         master_seed=master_seed,
         final_probe=final_probe,
-        noise=None if noise is None else noise.to_json(),
+        noise=noise,
         cells=cells,
     )
 
@@ -577,7 +458,7 @@ def optimal_calls(sweep: SweepResult, target: float) -> OptimalCalls:
 
 
 @dataclass
-class ScalingFit:
+class ScalingFit(Record):
     """Least-squares fit of log2(n_calls*) vs L: n_calls* = a * 2^(k L)."""
 
     points: list[tuple[int, float]]
@@ -586,35 +467,8 @@ class ScalingFit:
     l_min: int
     residuals: list[float]
     target: float | None = None
-    schema_version: int = SCHEMA_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "result_type": "fit",
-            "points": [[int(l), float(n)] for l, n in self.points],
-            "amplitude": self.amplitude,
-            "exponent": self.exponent,
-            "l_min": self.l_min,
-            "residuals": self.residuals,
-            "target": self.target,
-        }
-
-    @classmethod
-    @_parsing("fit result")
-    def from_json(cls, obj: dict) -> "ScalingFit":
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported fit schema_version {obj.get('schema_version')!r}"
-            )
-        return cls(
-            points=[(int(l), float(n)) for l, n in obj["points"]],
-            amplitude=float(obj["amplitude"]),
-            exponent=float(obj["exponent"]),
-            l_min=int(obj["l_min"]),
-            residuals=[float(r) for r in obj["residuals"]],
-            target=obj.get("target"),
-        )
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)
+    result_type: str = field(default="fit", init=False)
 
 
 def fit_scaling(
@@ -663,7 +517,7 @@ def runtime_bound(n_calls: float, depth: int, gate_time_s: float) -> float:
 
 
 @dataclass
-class DepthCell:
+class DepthCell(Record):
     size: int
     depth: int
     p_gs: list[float]  # exact ground-state Born probability, per instance
@@ -677,7 +531,7 @@ class DepthCell:
 
 
 @dataclass
-class DepthSweepResult:
+class DepthSweepResult(Record):
     kind: str
     dt: float
     shots: int
@@ -685,59 +539,14 @@ class DepthSweepResult:
     master_seed: int
     instance_seeds: tuple[int, ...]
     cells: list[DepthCell]
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)
+    result_type: str = field(default="depth-sweep", init=False)
 
     def cell(self, size: int, depth: int) -> DepthCell:
         for c in self.cells:
             if c.size == size and c.depth == depth:
                 return c
         raise DomainError(f"no cell with size={size}, depth={depth}")
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "result_type": "depth-sweep",
-            "kind": self.kind,
-            "dt": self.dt,
-            "shots": self.shots,
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "instance_seeds": list(self.instance_seeds),
-            "cells": [
-                {
-                    "size": c.size,
-                    "depth": c.depth,
-                    "p_gs": c.p_gs,
-                    "fsucc": c.fsucc,
-                }
-                for c in self.cells
-            ],
-        }
-
-    @classmethod
-    @_parsing("depth-sweep result")
-    def from_json(cls, obj: dict) -> "DepthSweepResult":
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported depth-sweep schema_version {obj.get('schema_version')!r}"
-            )
-        return cls(
-            kind=str(obj["kind"]),
-            dt=float(obj["dt"]),
-            shots=int(obj["shots"]),
-            repetitions=int(obj["repetitions"]),
-            master_seed=int(obj["master_seed"]),
-            instance_seeds=tuple(int(s) for s in obj["instance_seeds"]),
-            cells=[
-                DepthCell(
-                    size=int(c["size"]),
-                    depth=int(c["depth"]),
-                    p_gs=[float(p) for p in c["p_gs"]],
-                    fsucc=[float(f) for f in c["fsucc"]],
-                )
-                for c in obj["cells"]
-            ],
-        )
 
 
 def depth_sweep(
@@ -790,11 +599,7 @@ def depth_sweep(
 # --- persistence -------------------------------------------------------------
 
 
-_RESULT_TYPES = {
-    "sweep": SweepResult,
-    "fit": ScalingFit,
-    "depth-sweep": DepthSweepResult,
-}
+_RESULT_TYPES = {cls.result_type: cls for cls in (SweepResult, ScalingFit, DepthSweepResult)}
 
 
 def save_result(result, path: str | Path) -> None:
@@ -803,9 +608,8 @@ def save_result(result, path: str | Path) -> None:
 
 def load_result(path: str | Path):
     """Read any result file; an unreadable layout raises SchemaError."""
-    with _parsing(str(path)):
-        obj = json.loads(Path(path).read_text())
-        kind = obj.get("result_type")
-        if kind not in _RESULT_TYPES:
-            raise SchemaError(f"unknown result_type {kind!r}")
-        return _RESULT_TYPES[kind].from_json(obj)
+    obj = read_json(path)
+    kind = obj.get("result_type") if isinstance(obj, dict) else None
+    if kind not in _RESULT_TYPES:
+        raise SchemaError(f"{path}: unknown result_type {kind!r}")
+    return _RESULT_TYPES[kind].from_json(obj, str(path))

@@ -10,20 +10,20 @@ so x_j = 0 means sigma_j = +1.  All modules share this convention.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import check_fields, read_json, write_atomic
 from .errors import CapacityError, DomainError, SchemaError
 
 FERROMAGNETIC = "ferromagnetic"
 DISORDERED = "disordered"
 
-# Exhaustive enumeration is capped here; beyond this the 2^L tables stop
-# being desk-scale.
-MAX_ENUM_SIZE = 24
+# Chains, energy tables and statevectors are capped here; beyond this the
+# 2^L arrays stop being desk-scale.
+MAX_QUBITS = 24
 
 _TABLE_CHUNK = 1 << 18
 
@@ -127,9 +127,9 @@ def make_instances(size: int, kind: str, seeds) -> list[IsingInstance]:
 
 
 def _check_capacity(size: int) -> None:
-    if size > MAX_ENUM_SIZE:
+    if size > MAX_QUBITS:
         raise CapacityError(
-            f"exhaustive enumeration capped at {MAX_ENUM_SIZE} spins, got {size}"
+            f"exhaustive enumeration capped at {MAX_QUBITS} spins, got {size}"
         )
 
 
@@ -168,6 +168,11 @@ def brute_force_minimum(instance: IsingInstance) -> GroundTruth:
     )
 
 
+# An instance file's layout: the chain length is "L", the arrays are lists.
+_LAYOUT = {"schema_version": int, "L": int, "couplings": list[float], "fields": list[float],
+           "kind": str, "seed": int}
+
+
 def to_json(instance: IsingInstance) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -180,45 +185,21 @@ def to_json(instance: IsingInstance) -> dict:
 
 
 def from_json(obj: dict) -> IsingInstance:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"an instance must be a JSON object, got {type(obj).__name__}")
-    version = obj.get("schema_version", SCHEMA_VERSION)
+    values = check_fields(obj, _LAYOUT, "instance", required=("L", "couplings", "fields"))
+    version = values.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported instance schema_version {version}")
-    try:
-        return IsingInstance(
-            size=int(obj["L"]),
-            couplings=np.asarray(obj["couplings"], dtype=float),
-            fields=np.asarray(obj["fields"], dtype=float),
-            kind=str(obj.get("kind", FERROMAGNETIC)),
-            seed=int(obj.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"instance JSON missing field {exc}") from exc
-
-
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write through a temp file beside ``path`` and rename it over ``path``, so
-    an interrupted write leaves the previous file (or none) and no temp file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    return IsingInstance(
+        size=values["L"],
+        couplings=np.asarray(values["couplings"]),
+        fields=np.asarray(values["fields"]),
+        kind=values.get("kind", FERROMAGNETIC),
+        seed=values.get("seed", 0),
+    )
 
 
 def save_instance(instance: IsingInstance, path: str | Path) -> None:
     write_atomic(path, json.dumps(to_json(instance), indent=2) + "\n")
-
-
-def read_json(path: str | Path):
-    """Parse a JSON input file; text that is not JSON raises SchemaError."""
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> IsingInstance:

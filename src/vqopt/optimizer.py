@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Union
 
 import numpy as np
 
 from .ansatz import AnsatzSpec
+from .codec import Record, write_atomic
 from .errors import DomainError
 from .estimator import (
     MEAN,
@@ -44,16 +45,17 @@ from .estimator import (
     sample,
     shifted_points,
 )
-from .ising import GroundTruth, IsingInstance, energy_table, write_atomic
+from .ising import GroundTruth, IsingInstance, energy_table
 from .simulator import NoiseModel
 
 TRACE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TrustRegionConfig:
+class TrustRegionConfig(Record):
     """COBYLA-style linear-model trust region (energy-based)."""
 
+    name: str = field(default="trust-region-dfo", init=False)
     initial_radius: float = 1.0
     final_radius: float = 1e-4
 
@@ -61,36 +63,28 @@ class TrustRegionConfig:
         if not 0 < self.final_radius <= self.initial_radius:
             raise DomainError("radii must satisfy 0 < final <= initial")
 
-    def to_json(self) -> dict:
-        return {
-            "name": "trust-region-dfo",
-            "initial_radius": self.initial_radius,
-            "final_radius": self.final_radius,
-        }
-
 
 @dataclass(frozen=True)
-class HillClimbConfig:
+class HillClimbConfig(Record):
     """Random-direction hill climb with fixed proposal length (energy-based)."""
 
+    name: str = field(default="hill-climb", init=False)
     step_norm: float = 0.03
 
     def __post_init__(self) -> None:
         if self.step_norm <= 0:
             raise DomainError(f"step norm must be positive, got {self.step_norm}")
 
-    def to_json(self) -> dict:
-        return {"name": "hill-climb", "step_norm": self.step_norm}
-
 
 @dataclass(frozen=True)
-class GradientDescentConfig:
+class GradientDescentConfig(Record):
     """Fixed-rate gradient descent on shot-estimated gradients.
 
     ``shots_per_circuit = None`` selects the exact-expectation testing mode
     (gradients from the statevector, nothing sampled, n_calls stays 0).
     """
 
+    name: str = field(default="gradient-descent", init=False)
     learning_rate: float = 0.1
     gradient: str = "param-shift"  # "param-shift" | "finite-diff"
     step: float = 0.5  # finite-difference increment
@@ -105,15 +99,6 @@ class GradientDescentConfig:
             raise DomainError("finite-difference step must be positive")
         if self.shots_per_circuit is not None and self.shots_per_circuit < 1:
             raise DomainError("shots_per_circuit must be >= 1 (or None for exact)")
-
-    def to_json(self) -> dict:
-        return {
-            "name": "gradient-descent",
-            "learning_rate": self.learning_rate,
-            "gradient": self.gradient,
-            "step": self.step,
-            "shots_per_circuit": self.shots_per_circuit,
-        }
 
 
 OptimizerConfig = Union[TrustRegionConfig, HillClimbConfig, GradientDescentConfig]

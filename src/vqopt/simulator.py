@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record
 from .errors import CapacityError, DomainError, IntegrityError
-
-MAX_QUBITS = 24
+from .ising import MAX_QUBITS
 
 _NORM_TOL = 1e-8
 
@@ -158,7 +158,7 @@ def sample_shots(state: StateVector, shots: int, rng: np.random.Generator) -> np
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Per-qubit thermal relaxation attached to every gate.
 
     ``t1_us``/``t2_us`` are relaxation and dephasing time constants in
@@ -178,18 +178,6 @@ class NoiseModel:
             raise DomainError(f"T2={self.t2_us} exceeds 2*T1={2 * self.t1_us}")
         if self.t1q_ns <= 0 or self.t2q_ns <= 0:
             raise DomainError("gate durations must be positive")
-
-    def to_json(self) -> dict:
-        return {
-            "t1_us": self.t1_us,
-            "t2_us": self.t2_us,
-            "t1q_ns": self.t1q_ns,
-            "t2q_ns": self.t2q_ns,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NoiseModel":
-        return cls(**{k: float(obj[k]) for k in ("t1_us", "t2_us", "t1q_ns", "t2q_ns")})
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,9 @@ def _bad_sweep_spec(**changes):
     return spec
 
 
+_RUN_NOISY = ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4",
+              "--iters", "2", "--out", "t.jsonl"]
+
 # (case, files to write into the working directory, argv, extra env, exit code)
 _BAD_INPUTS = [
     ("unknown cost kind", {}, ["run", "--instance", "inst.json", "--cost", "cvarxx",
@@ -238,6 +241,24 @@ _BAD_INPUTS = [
      {}, 2),
     ("unknown config key", {"config.json": {"repetitions": 3}},
      ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], {}, 2),
+    ("config key abbreviating a flag", {"spec.json": _bad_sweep_spec(), "config.json": {"rep": 2}},
+     ["--config", "config.json", "sweep", "--spec", "spec.json", "--grid", "grid.json",
+      "--out", "o"], {}, 2),
+    ("noise without t2_us", {"noise.json": {"t1_us": 5.0}}, _RUN_NOISY, {}, 1),
+    ("noise with a mistyped t1_us", {"noise.json": {"t1_us": "50", "t2_us": 70.0}},
+     _RUN_NOISY, {}, 1),
+    ("noise with an unknown key", {"noise.json": {"t1_us": 50.0, "t2_us": 70.0, "t3_us": 1.0}},
+     _RUN_NOISY, {}, 1),
+    ("spec noise with an unknown key",
+     {"spec.json": _bad_sweep_spec(noise={"t1_us": 50.0, "t2_us": 70.0, "t1q_ns": 50.0,
+                                          "t2q_ns": 300.0, "gate_ns": 20.0})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("instance with a mistyped L",
+     {"inst.json": {"L": "abc", "couplings": [1.0], "fields": [0.0, 0.0]}},
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+    ("instance with an unknown key",
+     {"inst.json": {"L": 2, "couplings": [1.0], "fields": [0.0, 0.0], "size": 2}},
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
 ]
 
 

@@ -101,6 +101,23 @@ def test_sweep_threaded_matches_serial():
     assert _sharing_sweep("hill-climb", _SHARING_GRID, noisy=True, threads=2) == serial
 
 
+def test_sweep_spec_from_json():
+    spec = {"family": "qaoa", "size": 4, "depth": 1, "init": {"mode": "linear"},
+            "noise": {"t1_us": 50, "t2_us": 70}}
+    problem, config, kind, noise = exp.sweep_spec_from_json(spec)
+    assert problem == exp.ProblemSpec("qaoa", 4, 1, init=exp.InitSpec("linear"))
+    assert config == opt.TrustRegionConfig() and kind == est.CVAR25
+    # absent gate durations take the NoiseModel defaults, 50 and 300 ns
+    assert noise == sim.NoiseModel(t1_us=50.0, t2_us=70.0, t1q_ns=50.0, t2q_ns=300.0)
+    for bad in ({**spec, "noise": {"t1_us": 50, "t2_us": 70, "t3_us": 1}},
+                {**spec, "init": {"mode": "linear", "steps": 3}},
+                {**spec, "optimizer": {"name": "hill-climb", "step_norm": "small"}},
+                {**spec, "cost_alpha": True},
+                {k: v for k, v in spec.items() if k != "depth"}):
+        with pytest.raises(SchemaError):
+            exp.sweep_spec_from_json(bad)
+
+
 def test_sweep_rejects_bad_arguments():
     problem = exp.ProblemSpec("qaoa", 4, 1)
     with pytest.raises(DomainError):
@@ -274,6 +291,26 @@ def test_sweep_bytes_pinned(tmp_path, case):
     assert digest == _SWEEP_PINS[case]
 
 
+# sha256 of save_result output, computed with the hand-written to_json methods
+# that the codec replaced
+_RESULT_PINS = {
+    "fit.json": "11b2e6bde1eb7433a43a2edce5d78fa5c9f2eb8ff6eb2b585aa50e4a4d39fad9",
+    "depth_sweep.json": "3a700c1412b9a7208863fd6c89568a3bb78a51586e3f99a5ed043ccb529b95ef",
+}
+
+
+@pytest.mark.parametrize("name", list(_RESULT_PINS))
+def test_result_bytes_pinned(tmp_path, name):
+    if name == "fit.json":
+        result = exp.fit_scaling([(L, 3.0 * 2.0 ** (0.4 * L)) for L in range(5, 12)],
+                                 l_min=6, target=0.25)
+    else:
+        result = exp.depth_sweep(sizes=[4, 5], depths=[1, 3], dt=0.8, shots=8, repetitions=20,
+                                 master_seed=3, kind="disordered", instance_seeds=(2, 7))
+    exp.save_result(result, tmp_path / name)
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == _RESULT_PINS[name]
+
+
 def test_optimal_calls_unreached_is_explicit():
     cell = geometric_quantile_cell(12, 50, budget_iters=3)
     best = exp.optimal_calls(synthetic_sweep([cell]), 0.9)
@@ -392,7 +429,12 @@ def test_persistence_schema_errors(tmp_path):
         exp.load_result(path)
 
     good = json.dumps(sweep.to_json(), sort_keys=True)
+    cells = sweep.to_json()["cells"]
+    noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0).to_json()
     mutations = [
+        json.dumps({**sweep.to_json(), "comment": "unknown top-level key"}),
+        json.dumps({**sweep.to_json(), "cells": [{**cells[0], "note": 1}, *cells[1:]]}),
+        json.dumps({**sweep.to_json(), "noise": {**noise, "t3_us": 1.0}}),
         good[: len(good) // 2],  # truncated file
         "[]",
         json.dumps({k: v for k, v in sweep.to_json().items() if k != "cells"}),
