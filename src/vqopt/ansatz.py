@@ -17,12 +17,22 @@ Two families are covered:
 The problem phase is applied as an exact diagonal using the instance's
 energy table; an equivalent RZZ/RZ gate decomposition is used on the
 noisy path so that every physical gate passes through the noise channel.
+
+:func:`compile_plan` turns a spec and an optional noise model into a
+:class:`Plan`, a flat list of steps, once per pair (the plans are cached
+on the spec), and :func:`prepare_state` runs the steps in one loop.  A
+noisy plan follows every gate with one relaxation step per touched qubit.
+RY-CNOT plans work on a float64 state, and an ideal plan applies each
+CNOT ladder as one precomputed permutation of the amplitudes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +66,7 @@ class AnsatzSpec:
                 raise DomainError("qaoa ansatz needs its problem instance")
             if self.instance.size != self.size:
                 raise DomainError("instance size does not match ansatz size")
+        object.__setattr__(self, "_plans", {})  # noise model (or None) -> Plan
 
     @property
     def n_params(self) -> int:
@@ -84,21 +95,124 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _qaoa_phase_gates(instance: IsingInstance, gamma: float) -> list[GateOp]:
-    """RZZ/RZ decomposition of exp(-i gamma H_P); exact, all terms commute.
+class Step(NamedTuple):
+    """One step of a plan: ``run(state, theta, rng)`` applies it.
 
-    H_P = -sum J_j Z_j Z_{j+1} - sum h_j Z_j in qubit space, so each bond
-    contributes rzz(2 gamma J_j) and each site rz(2 gamma h_j).
+    ``ops`` names, in circuit order, the (gate, qubits) pairs the step
+    stands for: one gate, one ``("relax", (qubit,))``, or every CNOT of a
+    fused ladder.
     """
-    ops = [
-        GateOp("rzz", (j, j + 1), 2.0 * gamma * float(instance.couplings[j]))
-        for j in range(instance.size - 1)
-    ]
-    ops += [
-        GateOp("rz", (j,), 2.0 * gamma * float(instance.fields[j]))
-        for j in range(instance.size)
-    ]
-    return ops
+
+    ops: tuple[tuple[str, tuple[int, ...]], ...]
+    run: Callable
+
+
+class Plan(NamedTuple):
+    """A circuit compiled for one noise model: ``start(L)`` makes the initial
+    state and ``steps`` act on it in order."""
+
+    start: Callable[[int], StateVector]
+    steps: tuple[Step, ...]
+
+
+# Step kernels: the plan binds the leading arguments, the loop passes
+# (state, theta, rng).  Gates are looked up on the simulator at call time,
+# so a wrapper installed there (a tracer, a test's spy) sees every call.
+
+
+def _ry(qubit, index, state, theta, rng):
+    sim.apply_ry(state, qubit, theta[index])
+
+
+def _mixer(qubit, index, state, theta, rng):
+    # exp(i beta X_j) = rx(2 beta) under the rx sign convention
+    sim.apply_rx(state, qubit, 2.0 * theta[index])
+
+
+def _phase(table, index, state, theta, rng):
+    sim.apply_diagonal_phase(state, table, -theta[index])
+
+
+def _rzz(qubit, scale, index, state, theta, rng):
+    sim.apply_rzz(state, qubit, qubit + 1, scale * theta[index])
+
+
+def _rz(qubit, scale, index, state, theta, rng):
+    sim.apply_rz(state, qubit, scale * theta[index])
+
+
+def _cnot(control, state, theta, rng):
+    sim.apply_cnot(state, control, control + 1)
+
+
+def _permute(perm, state, theta, rng):
+    state.amplitudes = state.amplitudes[perm]
+
+
+def _relax(qubit, channel, state, theta, rng):
+    sim.relax(state, qubit, channel, rng)
+
+
+@functools.cache
+def _ladder_permutation(size: int) -> np.ndarray:
+    """Gather indices of one CNOT ladder: the ladder maps amps to amps[perm]."""
+    index = StateVector(size, np.arange(1 << size))
+    for j in range(size - 1):
+        sim.apply_cnot(index, j, j + 1)
+    index.amplitudes.setflags(write=False)
+    return index.amplitudes
+
+
+def compile_plan(spec: AnsatzSpec, noise: NoiseModel | None = None) -> Plan:
+    """The plan of ``spec`` under ``noise``, compiled on first use and cached on the spec."""
+    plan = spec._plans.get(noise)
+    if plan is None:
+        plan = spec._plans[noise] = _compile(spec, noise)
+    return plan
+
+
+def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
+    size, depth = spec.size, spec.depth
+    steps: list[Step] = []
+
+    def gate(name: str, qubits: tuple[int, ...], kernel, *args) -> None:
+        steps.append(Step(((name, qubits),), functools.partial(kernel, *args)))
+        if noise is not None:
+            channel = noise.channel(sim.gate_duration_ns(GateOp(name, qubits), noise))
+            steps.extend(Step((("relax", (q,)),), functools.partial(_relax, q, channel))
+                         for q in qubits)
+
+    if spec.family == FAMILY_VQE:
+        for layer in range(depth + 1):
+            for j in range(size):
+                gate("ry", (j,), _ry, j, layer * size + j)
+            if layer == depth:
+                break
+            if noise is None:
+                ladder = tuple(("cnot", (j, j + 1)) for j in range(size - 1))
+                steps.append(Step(ladder, functools.partial(_permute, _ladder_permutation(size))))
+            else:
+                for j in range(size - 1):
+                    gate("cnot", (j, j + 1), _cnot, j)
+        return Plan(functools.partial(sim.init_zero, dtype=float), tuple(steps))
+
+    # The noisy phase is the RZZ/RZ decomposition of exp(-i gamma H_P), exact
+    # since all terms commute: H_P = -sum J_j Z_j Z_{j+1} - sum h_j Z_j in qubit
+    # space, so each bond is rzz(2 gamma J_j) and each site rz(2 gamma h_j).
+    instance = spec.instance
+    table = energy_table(instance) if noise is None else None
+    for layer in range(depth):
+        gamma, beta = 2 * layer, 2 * layer + 1  # their positions in theta
+        if noise is None:
+            gate("diagonal", tuple(range(size)), _phase, table, gamma)
+        else:
+            for j in range(size - 1):
+                gate("rzz", (j, j + 1), _rzz, j, 2.0 * float(instance.couplings[j]), gamma)
+            for j in range(size):
+                gate("rz", (j,), _rz, j, 2.0 * float(instance.fields[j]), gamma)
+        for j in range(size):
+            gate("rx", (j,), _mixer, j, beta)
+    return Plan(sim.init_plus, tuple(steps))
 
 
 def prepare_state(
@@ -116,40 +230,10 @@ def prepare_state(
     theta = _check_params(spec, theta)
     if noise is not None and rng is None:
         raise DomainError("noisy preparation needs an rng")
-    size, depth = spec.size, spec.depth
-
-    if spec.family == FAMILY_VQE:
-        state = sim.init_zero(size)
-        for layer in range(depth + 1):
-            if noise is None:
-                for j in range(size):
-                    sim.apply_ry(state, j, theta[layer * size + j])
-                if layer < depth:
-                    for j in range(size - 1):
-                        sim.apply_cnot(state, j, j + 1)
-            else:
-                for j in range(size):
-                    op = GateOp("ry", (j,), theta[layer * size + j])
-                    sim.apply_noisy_gate(state, op, noise, rng)
-                if layer < depth:
-                    for j in range(size - 1):
-                        sim.apply_noisy_gate(state, GateOp("cnot", (j, j + 1)), noise, rng)
-        return state
-
-    table = energy_table(spec.instance)
-    state = sim.init_plus(size)
-    for layer in range(depth):
-        gamma, beta = theta[2 * layer], theta[2 * layer + 1]
-        if noise is None:
-            sim.apply_diagonal_phase(state, table, -gamma)
-            for j in range(size):
-                # exp(i beta X_j) = rx(2 beta) under the rx sign convention
-                sim.apply_rx(state, j, 2.0 * beta)
-        else:
-            for op in _qaoa_phase_gates(spec.instance, gamma):
-                sim.apply_noisy_gate(state, op, noise, rng)
-            for j in range(size):
-                sim.apply_noisy_gate(state, GateOp("rx", (j,), 2.0 * beta), noise, rng)
+    plan = compile_plan(spec, noise)
+    state = plan.start(spec.size)
+    for _, run in plan.steps:
+        run(state, theta, rng)
     return state
 
 

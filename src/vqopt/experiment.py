@@ -55,6 +55,10 @@ SCHEMA_VERSION = 1
 # --- problem description -----------------------------------------------------
 
 
+# The InitSpec fields each mode reads, in the order a sweep file lists them.
+_MODE_FIELDS = {"random": ("low", "high"), "linear": ("dt",), "zeros": ()}
+
+
 @dataclass(frozen=True)
 class InitSpec(Record):
     """How theta0 is drawn: uniform random angles, the linear schedule, or
@@ -66,16 +70,22 @@ class InitSpec(Record):
     dt: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.mode not in ("random", "linear", "zeros"):
+        if self.mode not in _MODE_FIELDS:
             raise DomainError(f"unknown init mode {self.mode!r}")
 
     def to_json(self) -> dict:
         """Only the fields the mode uses (this layout is inside every sweep file)."""
-        if self.mode == "random":
-            return {"mode": "random", "low": self.low, "high": self.high}
-        if self.mode == "zeros":
-            return {"mode": "zeros"}
-        return {"mode": "linear", "dt": self.dt}
+        return {"mode": self.mode, **{name: getattr(self, name) for name in _MODE_FIELDS[self.mode]}}
+
+    @classmethod
+    def from_json(cls, obj, where: str | None = None) -> "InitSpec":
+        """Read an init; a field its mode does not use raises SchemaError."""
+        init = super().from_json(obj, where)
+        unused = sorted(set(obj) - {"mode", *_MODE_FIELDS[init.mode]})
+        if unused:
+            raise SchemaError(f"{where or cls.__name__} field(s) {', '.join(unused)} "
+                              f"unused by mode {init.mode!r}")
+        return init
 
 
 @dataclass(frozen=True)

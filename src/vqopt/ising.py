@@ -43,6 +43,8 @@ class IsingInstance:
     def __post_init__(self) -> None:
         if self.size < 2:
             raise DomainError(f"need at least 2 spins, got {self.size}")
+        if self.kind not in (FERROMAGNETIC, DISORDERED):
+            raise DomainError(f"unknown instance kind {self.kind!r}")
         couplings = np.asarray(self.couplings, dtype=float)
         fields = np.asarray(self.fields, dtype=float)
         if couplings.shape != (self.size - 1,):

@@ -1,8 +1,12 @@
 """Exact statevector engine with shot sampling and trajectory-based noise.
 
-States are dense arrays of 2^L complex amplitudes; bit j of the array
-index is qubit j (shared bitstring convention, see :mod:`vqopt.ising`).
-Gates mutate the state in place.  Rotation sign conventions:
+States are dense arrays of 2^L amplitudes; bit j of the array index is
+qubit j (shared bitstring convention, see :mod:`vqopt.ising`).  They are
+complex128, except that an RY-CNOT circuit on |0...0> stays real under
+its gates and both relaxation branches, so its states are float64: RY,
+CNOT and :func:`relax` accept either dtype and give a real state the
+same bits as its complex twin.  Gates mutate the state in place.
+Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
     rx(theta)  = exp(+i theta X / 2)
@@ -14,10 +18,13 @@ gate, every touched qubit passes through one sampled branch of the
 composed amplitude-damping + pure-dephasing channel for the gate's
 duration.  A single run is one trajectory; averaging trajectories
 reproduces the channel (this is not a density-matrix simulator).
+:meth:`NoiseModel.channel` computes a duration's branch probabilities
+once and :func:`relax` samples one branch from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,13 +36,17 @@ from .ising import MAX_QUBITS
 
 _NORM_TOL = 1e-8
 
+# CNOT index arrays are cached up to this width; one entry holds 2^L
+# indices, and past it the arange they save is a small part of the gate.
+_CNOT_CACHE_QUBITS = 16
+
 
 @dataclass
 class StateVector:
     """Dense quantum state on ``num_qubits`` qubits."""
 
     num_qubits: int
-    amplitudes: np.ndarray  # shape (2**num_qubits,), complex128
+    amplitudes: np.ndarray  # shape (2**num_qubits,), complex128 (float64 for RY-CNOT)
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
@@ -52,10 +63,10 @@ def _check_qubit_count(num_qubits: int) -> None:
         raise CapacityError(f"need 1..{MAX_QUBITS} qubits, got {num_qubits}")
 
 
-def init_zero(num_qubits: int) -> StateVector:
-    """|0...0>."""
+def init_zero(num_qubits: int, dtype=complex) -> StateVector:
+    """|0...0>, complex unless ``dtype`` says otherwise."""
     _check_qubit_count(num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps = np.zeros(1 << num_qubits, dtype=dtype)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
@@ -110,9 +121,20 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
     _check_qubit(state, target)
     if control == target:
         raise DomainError("control and target must differ")
-    idx = np.arange(state.amplitudes.size)
+    size = state.num_qubits
+    index = _cached_cnot_index if size <= _CNOT_CACHE_QUBITS else _cnot_index
+    sel, src = index(size, control, target)
+    state.amplitudes[sel] = state.amplitudes[src]
+
+
+def _cnot_index(num_qubits: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes a CNOT overwrites and the ones it copies into them."""
+    idx = np.arange(1 << num_qubits)
     sel = idx[(idx >> control) & 1 == 1]
-    state.amplitudes[sel] = state.amplitudes[sel ^ (1 << target)]
+    return sel, sel ^ (1 << target)
+
+
+_cached_cnot_index = functools.cache(_cnot_index)
 
 
 def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> None:
@@ -179,6 +201,14 @@ class NoiseModel(Record):
         if self.t1q_ns <= 0 or self.t2q_ns <= 0:
             raise DomainError("gate durations must be positive")
 
+    def channel(self, duration_ns: float) -> tuple[float, float, float]:
+        """(p_damp, p_flip, sqrt(1 - p_damp)) of one qubit idling ``duration_ns``."""
+        t_us = duration_ns * 1e-3
+        p_damp = -math.expm1(-t_us / self.t1_us)  # 1 - exp(-t/T1)
+        dephase_rate = 1.0 / self.t2_us - 0.5 / self.t1_us  # 1/T_phi
+        p_flip = 0.5 * -math.expm1(-t_us * dephase_rate)
+        return p_damp, p_flip, math.sqrt(1.0 - p_damp)
+
 
 @dataclass(frozen=True)
 class GateOp:
@@ -218,31 +248,33 @@ def gate_duration_ns(op: GateOp, noise: NoiseModel) -> float:
     return noise.t2q_ns if len(op.qubits) == 2 else noise.t1q_ns
 
 
-def _relax_qubit(
-    state: StateVector, qubit: int, duration_ns: float, noise: NoiseModel,
+def relax(
+    state: StateVector, qubit: int, channel: tuple[float, float, float],
     rng: np.random.Generator,
 ) -> None:
-    """Sample one Kraus branch of amplitude damping + pure dephasing."""
-    t_us = duration_ns * 1e-3
-    p_damp = -math.expm1(-t_us / noise.t1_us)  # 1 - exp(-t/T1)
-    dephase_rate = 1.0 / noise.t2_us - 0.5 / noise.t1_us  # 1/T_phi
-    p_flip = 0.5 * -math.expm1(-t_us * dephase_rate)
+    """Sample one Kraus branch of amplitude damping + pure dephasing.
 
+    ``channel`` comes from :meth:`NoiseModel.channel`.  The scalings
+    multiply by reciprocals because numpy divides a complex array by a real
+    number that way; real and complex states then get the same bits.
+    """
+    p_damp, p_flip, keep = channel
     a = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    hi = a[:, 1, :]
     if p_damp > 0.0:
-        hi = a[:, 1, :]
-        excited = float(np.sum(hi.real**2 + hi.imag**2))
+        squares = hi * hi if hi.dtype.kind == "f" else hi.real**2 + hi.imag**2
+        excited = float(squares.sum())
         branch_prob = p_damp * excited
         if rng.random() < branch_prob:
             # decay branch: |1> population drops to |0>; norm^2 was p_damp*excited
-            a[:, 0, :] = hi / math.sqrt(excited)
-            a[:, 1, :] = 0.0
+            a[:, 0, :] = hi * (1.0 / math.sqrt(excited))
+            hi[...] = 0.0
         elif branch_prob > 0.0:
             # no-decay branch: norm^2 = 1 - p_damp*excited
-            a[:, 1, :] *= math.sqrt(1.0 - p_damp)
-            state.amplitudes /= math.sqrt(1.0 - branch_prob)
+            hi *= keep
+            state.amplitudes *= 1.0 / math.sqrt(1.0 - branch_prob)
     if p_flip > 0.0 and rng.random() < p_flip:
-        a[:, 1, :] *= -1.0
+        hi *= -1.0
 
 
 def apply_noisy_gate(
@@ -250,6 +282,6 @@ def apply_noisy_gate(
 ) -> None:
     """Apply ``op`` followed by one relaxation trajectory on each touched qubit."""
     apply_gate(state, op)
-    duration = gate_duration_ns(op, noise)
+    channel = noise.channel(gate_duration_ns(op, noise))
     for qubit in op.qubits:
-        _relax_qubit(state, qubit, duration, noise, rng)
+        relax(state, qubit, channel, rng)

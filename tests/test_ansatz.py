@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,67 +84,142 @@ def test_vqe_random_cases_match_dense_oracle():
         assert np.allclose(state.amplitudes, dense_vqe_state(3, 2, theta), atol=1e-12)
 
 
-def test_gate_budget(monkeypatch):
-    counts = {"ry": 0, "rx": 0, "cnot": 0, "phase": 0}
-    real = {
-        "ry": sim.apply_ry,
-        "rx": sim.apply_rx,
-        "cnot": sim.apply_cnot,
-        "phase": sim.apply_diagonal_phase,
-    }
+def plan_ops(spec, noise=None):
+    """The (gate, qubits) pairs of a compiled plan, in circuit order."""
+    return [op for step in anz.compile_plan(spec, noise).steps for op in step.ops]
 
-    def counting(name):
+
+def test_gate_budget(monkeypatch):
+    vqe, qaoa = make_specs()
+    steps = anz.compile_plan(vqe).steps
+    assert sum(step.ops[0][0] == "ry" for step in steps) == (vqe.depth + 1) * vqe.size
+    ladders = [step.ops for step in steps if step.ops[0][0] == "cnot"]
+    # each ladder is one step that records the CNOTs it folds
+    assert ladders == [tuple(("cnot", (j, j + 1)) for j in range(vqe.size - 1))] * vqe.depth
+    assert Counter(name for name, _ in plan_ops(vqe)) == {
+        "ry": (vqe.depth + 1) * vqe.size, "cnot": vqe.depth * (vqe.size - 1)}
+    assert Counter(name for name, _ in plan_ops(qaoa)) == {
+        "diagonal": qaoa.depth, "rx": qaoa.depth * qaoa.size}
+
+    # the plan reaches the simulator's gates through their public names
+    counts = Counter()
+
+    def counting(name, real):
         def wrapped(state, *args):
             counts[name] += 1
-            real[name](state, *args)
+            real(state, *args)
 
         return wrapped
 
-    monkeypatch.setattr(sim, "apply_ry", counting("ry"))
-    monkeypatch.setattr(sim, "apply_rx", counting("rx"))
-    monkeypatch.setattr(sim, "apply_cnot", counting("cnot"))
-    monkeypatch.setattr(sim, "apply_diagonal_phase", counting("phase"))
-
-    vqe, qaoa = make_specs()
+    for name in ("apply_ry", "apply_rx", "apply_diagonal_phase"):
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
     anz.prepare_state(vqe, np.zeros(vqe.n_params))
-    assert counts["ry"] == (vqe.depth + 1) * vqe.size
-    assert counts["cnot"] == vqe.depth * (vqe.size - 1)
-
     anz.prepare_state(qaoa, np.zeros(qaoa.n_params))
-    assert counts["phase"] == qaoa.depth
-    assert counts["rx"] == qaoa.depth * qaoa.size
+    assert counts == {"apply_ry": (vqe.depth + 1) * vqe.size,
+                      "apply_rx": qaoa.depth * qaoa.size, "apply_diagonal_phase": qaoa.depth}
 
 
-def test_noisy_preparation_routes_through_channel(monkeypatch):
-    noisy_calls = []
-    real = sim.apply_noisy_gate
+def assert_each_gate_relaxed(ops):
+    """Every gate is followed by one relaxation of each qubit it touches."""
+    gates = 0
+    while ops:
+        (name, qubits), ops = ops[0], ops[1:]
+        assert name != "relax"
+        assert ops[: len(qubits)] == [("relax", (q,)) for q in qubits]
+        ops = ops[len(qubits):]
+        gates += 1
+    return gates
 
-    def spy(state, op, noise, rng):
-        noisy_calls.append(op.name)
-        real(state, op, noise, rng)
 
-    monkeypatch.setattr(sim, "apply_noisy_gate", spy)
+def test_noisy_preparation_routes_through_channel():
     quiet = sim.NoiseModel(t1_us=math.inf, t2_us=math.inf)
     rng = np.random.default_rng(1)
 
     vqe, qaoa = make_specs()
+    ops = plan_ops(vqe, quiet)
+    assert assert_each_gate_relaxed(ops) == (
+        (vqe.depth + 1) * vqe.size + vqe.depth * (vqe.size - 1))
+    assert sum(name == "relax" for name, _ in ops) == (
+        (vqe.depth + 1) * vqe.size + 2 * vqe.depth * (vqe.size - 1))
     state = anz.prepare_state(vqe, np.zeros(vqe.n_params), noise=quiet, rng=rng)
-    assert len(noisy_calls) == (vqe.depth + 1) * vqe.size + vqe.depth * (vqe.size - 1)
     assert abs(state.amplitudes[0]) == pytest.approx(1.0)
 
-    noisy_calls.clear()
+    ops = plan_ops(qaoa, quiet)
+    assert_each_gate_relaxed(ops)
+    names = Counter(name for name, _ in ops)
+    # gate-level problem phase: (L-1) rzz + L rz per layer, then L rx
+    assert names["rzz"] == qaoa.depth * (qaoa.size - 1)
+    assert names["rz"] == qaoa.depth * qaoa.size
+    assert names["rx"] == qaoa.depth * qaoa.size
+    assert "diagonal" not in names
     theta = anz.init_random(qaoa, rng)
     noisy = anz.prepare_state(qaoa, theta, noise=quiet, rng=rng)
-    # gate-level problem phase: (L-1) rzz + L rz per layer, then L rx
-    assert noisy_calls.count("rzz") == qaoa.depth * (qaoa.size - 1)
-    assert noisy_calls.count("rz") == qaoa.depth * qaoa.size
-    assert noisy_calls.count("rx") == qaoa.depth * qaoa.size
     ideal = anz.prepare_state(qaoa, theta)
     overlap = abs(np.vdot(noisy.amplitudes, ideal.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
     with pytest.raises(DomainError):
         anz.prepare_state(vqe, np.zeros(vqe.n_params), noise=quiet, rng=None)
+
+
+def reference_state(spec, theta, noise=None, rng=None):
+    """The circuit gate by gate on a complex state, through the simulator's
+    public gates (a noisy gate is one apply_noisy_gate call)."""
+    size, depth = spec.size, spec.depth
+
+    def apply(op):
+        if noise is None:
+            sim.apply_gate(state, op)
+        else:
+            sim.apply_noisy_gate(state, op, noise, rng)
+
+    if spec.family == anz.FAMILY_VQE:
+        state = sim.init_zero(size)
+        for layer in range(depth + 1):
+            for j in range(size):
+                apply(sim.GateOp("ry", (j,), theta[layer * size + j]))
+            for j in range(size - 1 if layer < depth else 0):
+                apply(sim.GateOp("cnot", (j, j + 1)))
+        return state
+    inst = spec.instance
+    state = sim.init_plus(size)
+    for layer in range(depth):
+        gamma, beta = theta[2 * layer], theta[2 * layer + 1]
+        if noise is None:
+            sim.apply_diagonal_phase(state, ising.energy_table(inst), -gamma)
+            for j in range(size):
+                sim.apply_rx(state, j, 2.0 * beta)
+            continue
+        for j in range(size - 1):
+            apply(sim.GateOp("rzz", (j, j + 1), 2.0 * gamma * float(inst.couplings[j])))
+        for j in range(size):
+            apply(sim.GateOp("rz", (j,), 2.0 * gamma * float(inst.fields[j])))
+        for j in range(size):
+            apply(sim.GateOp("rx", (j,), 2.0 * beta))
+    return state
+
+
+@pytest.mark.parametrize("family", [anz.FAMILY_VQE, anz.FAMILY_QAOA])
+@pytest.mark.parametrize("t1_t2", [None, (50.0, 70.0), (5.0, 7.0), (1.0, 0.5)])
+def test_plan_matches_gate_by_gate_reference_bitwise(family, t1_t2):
+    # the strong noise settings make decay branches fire
+    noise = sim.NoiseModel(*t1_t2) if t1_t2 else None
+    for size in (2, 3, 5, 8):
+        for depth in (1, 2, 3):
+            for seed in range(3):
+                inst = ising.make_disordered(size, seed)
+                spec = anz.AnsatzSpec(family, size, depth,
+                                      instance=inst if family == anz.FAMILY_QAOA else None)
+                theta = anz.init_random(spec, np.random.default_rng(seed))
+                plan_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = anz.prepare_state(spec, theta, noise, plan_rng).amplitudes
+                want = reference_state(spec, theta, noise, ref_rng).amplitudes
+                if family == anz.FAMILY_VQE:
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got, want.real) and not want.imag.any()
+                else:
+                    assert np.array_equal(got, want)
+                assert plan_rng.random() == ref_rng.random()  # the same draws were made
 
 
 def test_full_qaoa_gate_level_agreement():

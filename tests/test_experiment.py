@@ -111,6 +111,7 @@ def test_sweep_spec_from_json():
     assert noise == sim.NoiseModel(t1_us=50.0, t2_us=70.0, t1q_ns=50.0, t2q_ns=300.0)
     for bad in ({**spec, "noise": {"t1_us": 50, "t2_us": 70, "t3_us": 1}},
                 {**spec, "init": {"mode": "linear", "steps": 3}},
+                {**spec, "init": {"mode": "linear", "low": 0.0, "high": 0.1}},
                 {**spec, "optimizer": {"name": "hill-climb", "step_norm": "small"}},
                 {**spec, "cost_alpha": True},
                 {k: v for k, v in spec.items() if k != "depth"}):

@@ -142,6 +142,8 @@ def test_invalid_shapes():
         ising.IsingInstance(3, np.ones(2), np.zeros(2))
     with pytest.raises(DomainError):
         ising.IsingInstance(1, np.ones(0), np.zeros(1))
+    with pytest.raises(DomainError, match="bogus"):
+        ising.IsingInstance(2, np.ones(1), np.zeros(2), kind="bogus")
 
 
 def test_serialization_round_trip(tmp_path):
