@@ -1,9 +1,9 @@
 """Per-call time of ``vqopt.ansatz.prepare_state``, written to BENCH_prepare_state.json.
 
 Rows: family {vqe, qaoa} x {ideal, noisy} x L in {6, 8, 10, 12} at depth 2.
-Each row is the median over ``--repeats`` batches of the microseconds per
-call; a batch times enough calls to last about ``--batch-ms``.  Batches
-are interleaved: every repeat visits every row once, and, with
+Each row is the median over REPEATS batches of the microseconds per
+call; a batch times enough calls to last about BATCH_MS milliseconds.
+Batches are interleaved: every repeat visits every row once, and, with
 ``--baseline``, runs the two source trees back to back on each row, so
 a slow phase of the machine lands on both sides alike.
 
@@ -36,6 +36,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (6, 8, 10, 12)
 DEPTH = 2
+REPEATS = 15
+BATCH_MS = 40.0
 
 
 def load_tree(src: Path, name: str):
@@ -76,8 +78,6 @@ def time_batch(call, n: int) -> float:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, help="src directory of the tree to compare with")
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--batch-ms", type=float, default=40.0)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_prepare_state.json")
     args = parser.parse_args(argv)
 
@@ -94,10 +94,10 @@ def main(argv: list[str] | None = None) -> None:
         for label in trees:
             cases[row, label]()
         per_call = time_batch(cases[row, next(iter(trees))], 20)
-        batch[row] = max(5, int(args.batch_ms * 1e3 / per_call))
+        batch[row] = max(5, int(BATCH_MS * 1e3 / per_call))
 
     samples = {key: [] for key in cases}
-    for repeat in range(args.repeats):
+    for repeat in range(REPEATS):
         order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
         for row in rows:
             for label in order:
@@ -122,8 +122,8 @@ def main(argv: list[str] | None = None) -> None:
         "what": "microseconds per vqopt.ansatz.prepare_state call, median of interleaved batches",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "python": platform.python_version(), "processor": platform.machine()},
-        "repeats": args.repeats,
-        "batch_ms": args.batch_ms,
+        "repeats": REPEATS,
+        "batch_ms": BATCH_MS,
         "noise": {"t1_us": 50.0, "t2_us": 70.0, "t1q_ns": 50.0, "t2q_ns": 300.0},
         "trees": list(trees),
         "rows": out,

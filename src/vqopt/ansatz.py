@@ -95,29 +95,19 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-class Step(NamedTuple):
-    """One step of a plan: ``run(state, theta, rng)`` applies it.
-
-    ``ops`` names, in circuit order, the (gate, qubits) pairs the step
-    stands for: one gate, one ``("relax", (qubit,))``, or every CNOT of a
-    fused ladder.
-    """
-
-    ops: tuple[tuple[str, tuple[int, ...]], ...]
-    run: Callable
-
-
 class Plan(NamedTuple):
     """A circuit compiled for one noise model: ``start(L)`` makes the initial
-    state and ``steps`` act on it in order."""
+    state, and each step, called as ``step(state, theta, rng)``, acts on it
+    in order."""
 
     start: Callable[[int], StateVector]
-    steps: tuple[Step, ...]
+    steps: tuple[Callable, ...]
 
 
 # Step kernels: the plan binds the leading arguments, the loop passes
 # (state, theta, rng).  Gates are looked up on the simulator at call time,
-# so a wrapper installed there (a tracer, a test's spy) sees every call.
+# so a wrapper installed there (a tracer, a test's spy) sees every call,
+# save the CNOTs of an ideal ladder, which run as one gather.
 
 
 def _ry(qubit, index, state, theta, rng):
@@ -173,14 +163,13 @@ def compile_plan(spec: AnsatzSpec, noise: NoiseModel | None = None) -> Plan:
 
 def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
     size, depth = spec.size, spec.depth
-    steps: list[Step] = []
+    steps: list[Callable] = []
 
     def gate(name: str, qubits: tuple[int, ...], kernel, *args) -> None:
-        steps.append(Step(((name, qubits),), functools.partial(kernel, *args)))
+        steps.append(functools.partial(kernel, *args))
         if noise is not None:
             channel = noise.channel(sim.gate_duration_ns(GateOp(name, qubits), noise))
-            steps.extend(Step((("relax", (q,)),), functools.partial(_relax, q, channel))
-                         for q in qubits)
+            steps.extend(functools.partial(_relax, q, channel) for q in qubits)
 
     if spec.family == FAMILY_VQE:
         for layer in range(depth + 1):
@@ -189,8 +178,7 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
             if layer == depth:
                 break
             if noise is None:
-                ladder = tuple(("cnot", (j, j + 1)) for j in range(size - 1))
-                steps.append(Step(ladder, functools.partial(_permute, _ladder_permutation(size))))
+                steps.append(functools.partial(_permute, _ladder_permutation(size)))
             else:
                 for j in range(size - 1):
                     gate("cnot", (j, j + 1), _cnot, j)
@@ -232,8 +220,8 @@ def prepare_state(
         raise DomainError("noisy preparation needs an rng")
     plan = compile_plan(spec, noise)
     state = plan.start(spec.size)
-    for _, run in plan.steps:
-        run(state, theta, rng)
+    for step in plan.steps:
+        step(state, theta, rng)
     return state
 
 

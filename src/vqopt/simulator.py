@@ -5,8 +5,9 @@ qubit j (shared bitstring convention, see :mod:`vqopt.ising`).  They are
 complex128, except that an RY-CNOT circuit on |0...0> stays real under
 its gates and both relaxation branches, so its states are float64: RY,
 CNOT and :func:`relax` accept either dtype and give a real state the
-same bits as its complex twin.  Gates mutate the state in place.
-Rotation sign conventions:
+same bits as its complex twin; the gates with complex factors (RX, RZ,
+RZZ, diagonal phase) reject a real state.  Gates mutate the state in
+place.  Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
     rx(theta)  = exp(+i theta X / 2)
@@ -24,7 +25,6 @@ once and :func:`relax` samples one branch from them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +35,6 @@ from .errors import CapacityError, DomainError, IntegrityError
 from .ising import MAX_QUBITS
 
 _NORM_TOL = 1e-8
-
-# CNOT index arrays are cached up to this width; one entry holds 2^L
-# indices, and past it the arange they save is a small part of the gate.
-_CNOT_CACHE_QUBITS = 16
 
 
 @dataclass
@@ -84,6 +80,11 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise DomainError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
 
 
+def _check_complex(state: StateVector) -> None:
+    if state.amplitudes.dtype.kind != "c":
+        raise DomainError(f"gate needs a complex state, got {state.amplitudes.dtype}")
+
+
 def _apply_1q(state: StateVector, qubit: int, m00, m01, m10, m11) -> None:
     # View the state as (high bits, bit q, low bits) and act on the middle axis.
     a = state.amplitudes.reshape(-1, 2, 1 << qubit)
@@ -103,6 +104,7 @@ def apply_ry(state: StateVector, qubit: int, theta: float) -> None:
 def apply_rx(state: StateVector, qubit: int, theta: float) -> None:
     """Rotation exp(+i theta X / 2)."""
     _check_qubit(state, qubit)
+    _check_complex(state)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     _apply_1q(state, qubit, c, 1j * s, 1j * s, c)
 
@@ -110,6 +112,7 @@ def apply_rx(state: StateVector, qubit: int, theta: float) -> None:
 def apply_rz(state: StateVector, qubit: int, theta: float) -> None:
     """Rotation exp(+i theta Z / 2)."""
     _check_qubit(state, qubit)
+    _check_complex(state)
     a = state.amplitudes.reshape(-1, 2, 1 << qubit)
     a[:, 0, :] *= complex(math.cos(theta / 2), math.sin(theta / 2))
     a[:, 1, :] *= complex(math.cos(theta / 2), -math.sin(theta / 2))
@@ -121,20 +124,14 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
     _check_qubit(state, target)
     if control == target:
         raise DomainError("control and target must differ")
-    size = state.num_qubits
-    index = _cached_cnot_index if size <= _CNOT_CACHE_QUBITS else _cnot_index
-    sel, src = index(size, control, target)
-    state.amplitudes[sel] = state.amplitudes[src]
-
-
-def _cnot_index(num_qubits: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes a CNOT overwrites and the ones it copies into them."""
-    idx = np.arange(1 << num_qubits)
-    sel = idx[(idx >> control) & 1 == 1]
-    return sel, sel ^ (1 << target)
-
-
-_cached_cnot_index = functools.cache(_cnot_index)
+    high, low = max(control, target), min(control, target)
+    # axis 1 is qubit ``high`` and axis 3 qubit ``low``; where the control
+    # bit is 1, swap the two halves of the target axis
+    a = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+    if control == high:
+        a[:, 1] = a[:, 1, :, ::-1]
+    else:
+        a[:, :, :, 1] = a[:, ::-1, :, 1]
 
 
 def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> None:
@@ -143,6 +140,7 @@ def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> N
     _check_qubit(state, qubit_b)
     if qubit_a == qubit_b:
         raise DomainError("rzz qubits must differ")
+    _check_complex(state)
     idx = np.arange(state.amplitudes.size)
     zz = 1 - 2 * (((idx >> qubit_a) ^ (idx >> qubit_b)) & 1)
     state.amplitudes *= np.exp(0.5j * theta * zz)
@@ -155,6 +153,7 @@ def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma: float)
             f"energies shape {energies.shape} does not match state "
             f"dimension {state.amplitudes.shape}"
         )
+    _check_complex(state)
     state.amplitudes *= np.exp(1j * gamma * energies)
 
 

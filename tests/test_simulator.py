@@ -90,16 +90,32 @@ def test_two_qubit_gates_match_matrix_exponentials():
 
 
 def test_cnot_any_pair_against_bit_arithmetic():
+    # every ordered pair, on complex and on real (RY-CNOT) states
     rng = np.random.default_rng(5)
-    size = 4
-    for _ in range(8):
-        control, target = rng.choice(size, size=2, replace=False)
-        st = random_state(size, rng)
-        before = st.amplitudes.copy()
-        sim.apply_cnot(st, int(control), int(target))
-        for x in range(2**size):
-            src = x ^ (1 << int(target)) if (x >> int(control)) & 1 else x
-            assert st.amplitudes[x] == before[src]
+    size = 5
+    x = np.arange(2**size)
+    for control in range(size):
+        for target in range(size):
+            if control == target:
+                continue
+            src = np.where((x >> control) & 1, x ^ (1 << target), x)
+            for st in (random_state(size, rng), sim.StateVector(size, rng.normal(size=2**size))):
+                before = st.amplitudes.copy()
+                sim.apply_cnot(st, control, target)
+                assert np.array_equal(st.amplitudes, before[src])
+
+
+def test_complex_gates_reject_a_real_state():
+    st = sim.init_zero(3, dtype=float)
+    for gate in (
+        lambda: sim.apply_rx(st, 0, 0.3),
+        lambda: sim.apply_rz(st, 1, 0.3),
+        lambda: sim.apply_rzz(st, 0, 2, 0.3),
+        lambda: sim.apply_diagonal_phase(st, np.zeros(8), 0.3),
+    ):
+        with pytest.raises(DomainError):
+            gate()
+    assert np.array_equal(st.amplitudes, sim.init_zero(3, dtype=float).amplitudes)
 
 
 def test_diagonal_phase_identity_and_global_phase():
