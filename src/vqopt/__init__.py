@@ -2,7 +2,7 @@
 
 from .ansatz import FAMILY_QAOA, FAMILY_VQE, AnsatzSpec, init_linear_schedule, init_random, prepare_state
 from .errors import CapacityError, DomainError, IntegrityError, SchemaError, VqoptError
-from .estimator import CVAR25, MEAN, CostKind, SampleSet, cvar_cost, evaluate, exact_cost, grad_finite_diff, grad_param_shift, mean_cost
+from .estimator import CVAR25, MEAN, CostKind, SampleSet, cvar_cost, exact_cost, mean_cost
 from .experiment import (
     DepthSweepResult,
     InitSpec,
@@ -36,11 +36,9 @@ from .optimizer import (
     HillClimbConfig,
     RunTrace,
     TrustRegionConfig,
-    hill_climb,
     run,
     step_gradient_descent,
     step_hill_climb,
-    trust_region_dfo,
 )
 from .simulator import GateOp, NoiseModel, StateVector, init_plus, init_zero, sample_shots
 

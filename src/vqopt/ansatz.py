@@ -45,6 +45,11 @@ FAMILY_VQE = "vqe-ry-cnot"
 FAMILY_QAOA = "qaoa"
 
 
+def check_family(family: str) -> None:
+    if family not in (FAMILY_VQE, FAMILY_QAOA):
+        raise DomainError(f"unknown ansatz family {family!r}")
+
+
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Circuit family, width, depth, and (for QAOA) the target instance."""
@@ -55,8 +60,7 @@ class AnsatzSpec:
     instance: IsingInstance | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in (FAMILY_VQE, FAMILY_QAOA):
-            raise DomainError(f"unknown ansatz family {self.family!r}")
+        check_family(self.family)
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
         if self.size < 2:

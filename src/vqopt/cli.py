@@ -72,10 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_gen_instance(args) -> int:
     kind = _KINDS[args.kind]
-    if kind == ising.FERROMAGNETIC:
-        instance = ising.make_ferromagnetic(args.size)
-    else:
-        instance = ising.make_disordered(args.size, args.seed)
+    (instance,) = ising.make_instances(args.size, kind, (args.seed,))
     ising.save_instance(instance, args.out)
     LOGGER.info("wrote %s instance L=%d to %s", kind, args.size, args.out)
     return 0

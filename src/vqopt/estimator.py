@@ -1,25 +1,26 @@
-"""Shot-based cost estimation, CVaR aggregation, and gradient estimators.
+"""Shot-based cost estimation, CVaR aggregation, and the gradient rules' points.
 
 A circuit evaluation (``sample``) draws M bitstrings from the prepared
 state and scores them against the instance's energy table; ``cost``
 aggregates them with either the plain mean or the CVaR rule (average of
-the lowest alpha-fraction).  Gradient estimators always aggregate with
-the mean, and each of the 2 * n_par ``shifted_points`` uses its own batch
-of shots.  Nothing here keeps a shot count across calls: inside an
-optimization run, ``optimizer.run`` is the only place that counts shots.
+the lowest alpha-fraction).  Both gradient rules measure the 2 * n_par
+``shifted_points`` and combine their values with ``central_difference``:
+parameter shift with ``PARAM_SHIFT_RULE``, a finite difference of step h
+with (h, 2h).  ``optimizer.run`` samples each point with its own batch of
+shots and scores it with the mean.  Nothing here keeps a shot count across
+calls: inside an optimization run, ``optimizer.run`` is the only place
+that counts shots.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import simulator as sim
-from .ansatz import FAMILY_VQE, AnsatzSpec, prepare_state
+from .ansatz import AnsatzSpec, prepare_state
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
 from .simulator import NoiseModel
@@ -102,22 +103,6 @@ def sample(
     return SampleSet(bitstrings=bitstrings, energies=table[bitstrings], shots_spent=shots)
 
 
-def evaluate(
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    instance: IsingInstance,
-    shots: int,
-    kind: CostKind = MEAN,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, SampleSet]:
-    """Prepare the state, draw ``shots`` measurements, aggregate with ``kind``."""
-    if rng is None:
-        raise DomainError("evaluate needs an rng")
-    samples = sample(spec, theta, energy_table(instance), shots, noise, rng)
-    return cost(samples, kind), samples
-
-
 def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> float:
     """Noise- and shot-free expectation value; the state-vector reference."""
     state = prepare_state(spec, theta)
@@ -127,7 +112,7 @@ def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> 
 def shifted_points(theta: np.ndarray, shift: float) -> np.ndarray:
     """The 2 * n_par points theta +- shift*e_n, ordered +e_0, -e_0, +e_1, ...
 
-    Both gradient rules evaluate these points in this order and combine
+    Both gradient rules measure these points in this order and combine
     them with ``central_difference``.
     """
     theta = np.asarray(theta, dtype=float)
@@ -142,53 +127,6 @@ def central_difference(values, denominator: float) -> np.ndarray:
     """Gradient from values at ``shifted_points`` order: (f[2n] - f[2n + 1]) / denominator."""
     values = np.asarray(values, dtype=float)
     return (values[0::2] - values[1::2]) / denominator
-
-
-def _shift_gradient(spec, theta, instance, rule, shots_per_eval, rng, noise):
-    """(gradient, shots spent) from mean costs at the points of ``rule``."""
-    shift, denominator = rule
-    points = shifted_points(theta, shift)
-    if shots_per_eval is None:  # exact expectation mode, no shots
-        means, shots = [exact_cost(spec, x, instance) for x in points], 0
-    else:
-        table = energy_table(instance)
-        means = [mean_cost(sample(spec, x, table, shots_per_eval, noise, rng)) for x in points]
-        shots = len(points) * shots_per_eval
-    return central_difference(means, denominator), shots
-
-
-def grad_param_shift(
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    instance: IsingInstance,
-    shots_per_eval: int | None,
-    rng: np.random.Generator | None = None,
-    noise: NoiseModel | None = None,
-) -> tuple[np.ndarray, int]:
-    """Exact-formula gradient from +-pi/2 shifted evaluations.
-
-    Only valid for the RY-CNOT family (every parametrized gate is a
-    half-Pauli rotation).  Component n is (<H>_+ - <H>_-) / 2, each side
-    estimated with ``shots_per_eval`` mean-cost shots (None = exact mode).
-    """
-    if spec.family != FAMILY_VQE:
-        raise DomainError("parameter-shift gradients require the RY-CNOT family")
-    return _shift_gradient(spec, theta, instance, PARAM_SHIFT_RULE, shots_per_eval, rng, noise)
-
-
-def grad_finite_diff(
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    instance: IsingInstance,
-    step: float,
-    shots_per_eval: int | None,
-    rng: np.random.Generator | None = None,
-    noise: NoiseModel | None = None,
-) -> tuple[np.ndarray, int]:
-    """Central-difference gradient with increment ``step`` on mean-cost estimates."""
-    if step <= 0:
-        raise DomainError(f"finite-difference step must be positive, got {step}")
-    return _shift_gradient(spec, theta, instance, (step, 2.0 * step), shots_per_eval, rng, noise)
 
 
 def minimizer_hits(bitstrings: np.ndarray, minimizers: np.ndarray) -> np.ndarray:
@@ -226,12 +164,3 @@ class MinimumTracker:
             self.first_hit_calls = self.shots_seen + int(np.argmax(hits)) + 1
         self.shots_seen += len(samples)
         return found
-
-
-def samples_to_csv(samples: SampleSet, path: str | Path) -> None:
-    """Write rows (shot_index, bitstring_hex, energy)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["shot_index", "bitstring_hex", "energy"])
-        for i, (x, e) in enumerate(zip(samples.bitstrings, samples.energies)):
-            writer.writerow([i, format(int(x), "x"), repr(float(e))])

@@ -35,16 +35,16 @@ import numpy as np
 
 from . import ansatz as anz
 from . import optimizer as opt
-from .ansatz import FAMILY_QAOA, FAMILY_VQE, AnsatzSpec
+from .ansatz import FAMILY_QAOA, AnsatzSpec
 from .codec import Record, check_fields, read_json, type_hints, write_atomic
 from .errors import DomainError, SchemaError
 from .estimator import CostKind
 from .ising import (
-    DISORDERED,
     FERROMAGNETIC,
     GroundTruth,
     IsingInstance,
     brute_force_minimum,
+    check_kind,
     make_instances,
 )
 from .simulator import NoiseModel
@@ -100,12 +100,8 @@ class ProblemSpec(Record):
     init: InitSpec = InitSpec()
 
     def __post_init__(self) -> None:
-        if self.family not in (FAMILY_VQE, FAMILY_QAOA):
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.kind not in (FERROMAGNETIC, DISORDERED):
-            raise DomainError(f"unknown instance kind {self.kind!r}")
-        if self.kind == DISORDERED and not self.instance_seeds:
-            raise DomainError("disordered problems need at least one seed")
+        anz.check_family(self.family)
+        check_kind(self.kind, self.instance_seeds)
         if self.init.mode == "linear" and self.family != FAMILY_QAOA:
             raise DomainError("the linear schedule only applies to qaoa")
 
@@ -533,6 +529,16 @@ class DepthCell(Record):
     p_gs: list[float]  # exact ground-state Born probability, per instance
     fsucc: list[float]  # sampled M-shot success fraction, per instance
 
+    @classmethod
+    def from_json(cls, obj, where: str | None = None) -> "DepthCell":
+        """Read a cell; p_gs and fsucc hold one value per instance, so they are
+        non-empty and of equal length, or SchemaError is raised."""
+        cell = super().from_json(obj, where)
+        if not cell.p_gs or len(cell.fsucc) != len(cell.p_gs):
+            raise SchemaError(f"{where or cls.__name__}: p_gs and fsucc must be non-empty "
+                              f"lists of equal length")
+        return cell
+
     def p_gs_median(self) -> float:
         return self.p_gs[0] if len(self.p_gs) == 1 else float(np.median(self.p_gs))
 
@@ -574,6 +580,10 @@ def depth_sweep(
     Records both the exact ground-state Born probability of each state and
     the fraction of R M-shot repetitions that saw a minimizer.
     """
+    if repetitions < 1:
+        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    if shots < 1:
+        raise DomainError(f"shots must be >= 1, got {shots}")
     cells = []
     for size in sizes:
         instances = make_instances(size, kind, instance_seeds)

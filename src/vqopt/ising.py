@@ -30,6 +30,14 @@ _TABLE_CHUNK = 1 << 18
 SCHEMA_VERSION = 1
 
 
+def check_kind(kind: str, seeds) -> None:
+    """Reject an unknown instance kind, and a disordered kind with no seed."""
+    if kind not in (FERROMAGNETIC, DISORDERED):
+        raise DomainError(f"unknown instance kind {kind!r}")
+    if kind == DISORDERED and not seeds:
+        raise DomainError("disordered instances need at least one seed")
+
+
 @dataclass(frozen=True)
 class IsingInstance:
     """One optimization problem: couplings, fields, and provenance tags."""
@@ -43,8 +51,7 @@ class IsingInstance:
     def __post_init__(self) -> None:
         if self.size < 2:
             raise DomainError(f"need at least 2 spins, got {self.size}")
-        if self.kind not in (FERROMAGNETIC, DISORDERED):
-            raise DomainError(f"unknown instance kind {self.kind!r}")
+        check_kind(self.kind, (self.seed,))
         couplings = np.asarray(self.couplings, dtype=float)
         fields = np.asarray(self.fields, dtype=float)
         if couplings.shape != (self.size - 1,):
@@ -123,6 +130,7 @@ def make_disordered(size: int, seed: int) -> IsingInstance:
 
 def make_instances(size: int, kind: str, seeds) -> list[IsingInstance]:
     """The one ferromagnetic chain, or one disordered instance per seed."""
+    check_kind(kind, seeds)
     if kind == FERROMAGNETIC:
         return [make_ferromagnetic(size)]
     return [make_disordered(size, s) for s in seeds]

@@ -13,10 +13,9 @@ counts shots: it samples every point, scans every sample set for
 ground-state hits, adds its shots to ``n_calls`` and appends one trace
 row per round.  One-point rounds are scored with the run's cost kind;
 gradient rounds with the mean, and their row carries the mean energy of
-all the round's shots.  ``trust_region_dfo`` and ``hill_climb`` drive
-the same generators with a plain callable objective.  A run with
-``n_iter = 0`` performs a single M-shot measurement of theta0 and no
-optimization, which is the smallest run that can still observe success.
+all the round's shots.  A run with ``n_iter = 0`` performs a single
+M-shot measurement of theta0 and no optimization, which is the smallest
+run that can still observe success.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, Union
+from typing import Generator, Union
 
 import numpy as np
 
-from .ansatz import AnsatzSpec
+from .ansatz import FAMILY_VQE, AnsatzSpec
 from .codec import Record, write_atomic
 from .errors import DomainError
 from .estimator import (
@@ -151,16 +150,6 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def _minimize(rounds: Generator, objective: Callable[[np.ndarray], float]):
-    """Drive a one-point-per-round generator with a callable objective."""
-    try:
-        x = next(rounds)
-        while True:
-            x = rounds.send(float(objective(x)))
-    except StopIteration as done:
-        return done.value
-
-
 def hill_climb_rounds(
     theta0: np.ndarray, budget: int, step_norm: float, rng: np.random.Generator
 ) -> Generator:
@@ -183,23 +172,12 @@ def hill_climb_rounds(
     return incumbent, best
 
 
-def hill_climb(
-    objective: Callable[[np.ndarray], float],
-    theta0: np.ndarray,
-    budget: int,
-    step_norm: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """``hill_climb_rounds`` on a callable objective."""
-    return _minimize(hill_climb_rounds(theta0, budget, step_norm, rng), objective)
-
-
 def trust_region_rounds(
     theta0: np.ndarray,
     budget: int,
-    initial_radius: float = 1.0,
-    final_radius: float = 1e-4,
-    rng: np.random.Generator | None = None,
+    initial_radius: float,
+    final_radius: float,
+    rng: np.random.Generator,
 ) -> Generator:
     """Linear-model trust-region minimization of a (noisy) black box.
 
@@ -215,8 +193,6 @@ def trust_region_rounds(
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if rng is None:
-        rng = np.random.default_rng()
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     rho = initial_radius
@@ -277,19 +253,6 @@ def trust_region_rounds(
     return points[best].copy(), float(values[best])
 
 
-def trust_region_dfo(
-    objective: Callable[[np.ndarray], float],
-    theta0: np.ndarray,
-    budget: int,
-    initial_radius: float = 1.0,
-    final_radius: float = 1e-4,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, float]:
-    """``trust_region_rounds`` on a callable objective."""
-    rounds = trust_region_rounds(theta0, budget, initial_radius, final_radius, rng)
-    return _minimize(rounds, objective)
-
-
 def gradient_descent_rounds(
     theta0: np.ndarray, n_iter: int, config: GradientDescentConfig
 ) -> Generator:
@@ -344,7 +307,7 @@ def run(
     if theta0.shape != (spec.n_params,):
         raise DomainError("theta0 length does not match the ansatz")
     if isinstance(config, GradientDescentConfig) and config.gradient == "param-shift":
-        if spec.family != "vqe-ry-cnot":
+        if spec.family != FAMILY_VQE:
             raise DomainError("parameter-shift gradients require the RY-CNOT family")
 
     gradient = isinstance(config, GradientDescentConfig) and n_iter > 0

@@ -56,12 +56,13 @@ def test_criterion_2_param_shift_gradient_oracle():
     inst = ising.make_ferromagnetic(4)
     spec = anz.AnsatzSpec(anz.FAMILY_VQE, 4, 1)
     rng = np.random.default_rng(1002)
+    shift, denominator = est.PARAM_SHIFT_RULE
     step = 1e-6
     worst = 0.0
     for _ in range(20):
         theta = anz.init_random(spec, rng)
-        grad, shots = est.grad_param_shift(spec, theta, inst, None)
-        assert shots == 0
+        values = [est.exact_cost(spec, x, inst) for x in est.shifted_points(theta, shift)]
+        grad = est.central_difference(values, denominator)
         for n in range(spec.n_params):
             up, dn = theta.copy(), theta.copy()
             up[n] += step
@@ -119,8 +120,15 @@ def test_criterion_5_finite_difference_error_minimized_near_half():
     inst = ising.make_ferromagnetic(8)
     spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 8, 2, instance=inst)
     rng = np.random.default_rng(1005)
+    table = ising.energy_table(inst)
     thetas = [anz.init_random(spec, rng) for _ in range(100)]
-    exact = [est.grad_finite_diff(spec, th, inst, 1e-6, None)[0] for th in thetas]
+    step = 1e-6
+    exact = [
+        est.central_difference(
+            [est.exact_cost(spec, x, inst) for x in est.shifted_points(th, step)], 2.0 * step
+        )
+        for th in thetas
+    ]
 
     ok = True
     lines = []
@@ -129,7 +137,11 @@ def test_criterion_5_finite_difference_error_minimized_near_half():
         for eps in (0.01, 0.5, 2.0):
             total = 0.0
             for th, ref in zip(thetas, exact):
-                grad, _ = est.grad_finite_diff(spec, th, inst, eps, shots, rng)
+                means = [
+                    est.mean_cost(est.sample(spec, x, table, shots, None, rng))
+                    for x in est.shifted_points(th, eps)
+                ]
+                grad = est.central_difference(means, 2.0 * eps)
                 total += float(np.abs(grad - ref).mean())
             errors[eps] = total / len(thetas)
         ok &= errors[0.5] < errors[0.01] and errors[0.5] < errors[2.0]

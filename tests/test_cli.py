@@ -262,6 +262,19 @@ _BAD_INPUTS = [
     ("instance of an unknown kind",
      {"inst.json": {"L": 2, "couplings": [1.0], "fields": [0.0, 0.0], "kind": "bogus"}},
      ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+    ("depth sweep with zero repetitions", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--reps", "0", "--out", "o"], {}, 1),
+    ("depth sweep with zero shots", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--shots", "0", "--out", "o"], {}, 1),
+    ("disordered depth sweep without seeds", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--kind", "disordered",
+      "--instance-seeds=", "--out", "o"], {}, 1),
+    ("depth sweep result with an empty cell",
+     {"depth.json": {"schema_version": 1, "result_type": "depth-sweep", "kind": "disordered",
+                     "dt": 0.8, "shots": 4, "repetitions": 2, "master_seed": 0,
+                     "instance_seeds": [], "cells": [{"size": 4, "depth": 1, "p_gs": [],
+                                                      "fsucc": []}]}},
+     ["report", "--in", "depth.json", "--out", "r"], {}, 1),
     ("init field its mode does not use",
      {"spec.json": _bad_sweep_spec(init={"mode": "linear", "low": 0.0, "high": 0.1})},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),

@@ -1,10 +1,9 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 
-from vqopt import ansatz as anz, estimator as est, ising
+from vqopt import ansatz as anz, estimator as est, ising, optimizer as opt
 from vqopt.errors import DomainError
 
 from oracles import richardson_gradient
@@ -66,15 +65,34 @@ def test_order_statistics_chain():
         assert est.cvar_cost(samples, 0.25) <= est.mean_cost(samples) + 1e-12
 
 
+def gradient(spec, theta, inst, rule, shots=None, rng=None):
+    """The gradient ``optimizer.run`` measures: mean costs at ``shifted_points``
+    (exact expectations when ``shots`` is None) combined by ``central_difference``."""
+    shift, denominator = rule
+    points = est.shifted_points(theta, shift)
+    if shots is None:
+        values = [est.exact_cost(spec, x, inst) for x in points]
+    else:
+        table = ising.energy_table(inst)
+        values = [est.mean_cost(est.sample(spec, x, table, shots, None, rng)) for x in points]
+    return est.central_difference(values, denominator)
+
+
+def finite_diff(step):
+    return (step, 2.0 * step)
+
+
 def test_evaluate_single_shot_and_delta_state():
     inst = ising.make_ferromagnetic(4)
+    table = ising.energy_table(inst)
     spec = anz.AnsatzSpec(anz.FAMILY_VQE, 4, 1)
     rng = np.random.default_rng(33)
-    value, samples = est.evaluate(spec, np.zeros(8), inst, 1, est.MEAN, rng=rng)
+    samples = est.sample(spec, np.zeros(8), table, 1, None, rng)
     assert len(samples) == 1
-    assert value == pytest.approx(samples.energies[0])
+    assert est.cost(samples, est.MEAN) == pytest.approx(samples.energies[0])
     # theta = 0 prepares |0000>, every shot is x=0 with energy -2.8
-    value, samples = est.evaluate(spec, np.zeros(8), inst, 64, est.CVAR25, rng=rng)
+    samples = est.sample(spec, np.zeros(8), table, 64, None, rng)
+    value = est.cost(samples, est.CVAR25)
     assert np.all(samples.bitstrings == 0)
     assert value == pytest.approx(ising.energy(inst, 0))
     assert value == pytest.approx(-2.8)
@@ -86,7 +104,7 @@ def test_evaluate_uniform_state_clt():
     table = ising.energy_table(inst)
     spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 6, 1, instance=inst)
     rng = np.random.default_rng(34)
-    value, samples = est.evaluate(spec, np.zeros(2), inst, 10**5, est.MEAN, rng=rng)
+    value = est.cost(est.sample(spec, np.zeros(2), table, 10**5, None, rng), est.MEAN)
     stderr = table.std() / math.sqrt(10**5)
     assert abs(value - table.mean()) < 4 * stderr
 
@@ -97,8 +115,7 @@ def test_param_shift_exact_mode_matches_finite_difference():
     rng = np.random.default_rng(35)
     for _ in range(5):
         theta = anz.init_random(spec, rng)
-        grad, shots = est.grad_param_shift(spec, theta, inst, None)
-        assert shots == 0
+        grad = gradient(spec, theta, inst, est.PARAM_SHIFT_RULE)
         step = 1e-6
         for n in range(spec.n_params):
             up, dn = theta.copy(), theta.copy()
@@ -115,21 +132,23 @@ def test_param_shift_zero_variance_point():
     spec = anz.AnsatzSpec(anz.FAMILY_VQE, 2, 1)
     theta = np.array([math.pi / 2, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(36)
-    grad, shots = est.grad_param_shift(spec, theta, inst, 1, rng)
-    assert shots == 2 * 4 * 1
+    grad = gradient(spec, theta, inst, est.PARAM_SHIFT_RULE, shots=1, rng=rng)
     expected = 0.5 * (ising.energy(inst, 0b11) - ising.energy(inst, 0b00))
     assert grad[0] == pytest.approx(expected)
 
 
 def test_param_shift_shot_accounting_and_family_guard():
     inst = ising.make_ferromagnetic(4)
+    ground = ising.brute_force_minimum(inst)
     spec = anz.AnsatzSpec(anz.FAMILY_VQE, 4, 1)
+    config = opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=8)
     rng = np.random.default_rng(37)
-    _, shots = est.grad_param_shift(spec, anz.init_random(spec, rng), inst, 8, rng)
-    assert shots == 2 * 8 * 8  # 2 * n_par * shots_per_eval
+    trace = opt.run(spec, inst, ground, config, est.MEAN, 16, 1, anz.init_random(spec, rng),
+                    rng=rng)
+    assert trace.n_calls == 2 * 8 * 8  # 2 * n_par * shots_per_circuit
     qaoa = anz.AnsatzSpec(anz.FAMILY_QAOA, 4, 1, instance=inst)
     with pytest.raises(DomainError):
-        est.grad_param_shift(qaoa, np.zeros(2), inst, 8, rng)
+        opt.run(qaoa, inst, ground, config, est.MEAN, 16, 1, np.zeros(2), rng=rng)
 
 
 def test_finite_diff_exact_mode_matches_richardson():
@@ -138,12 +157,11 @@ def test_finite_diff_exact_mode_matches_richardson():
     rng = np.random.default_rng(38)
     for _ in range(5):
         theta = anz.init_random(spec, rng)
-        grad, shots = est.grad_finite_diff(spec, theta, inst, 1e-6, None)
-        assert shots == 0
+        grad = gradient(spec, theta, inst, finite_diff(1e-6))
         reference = richardson_gradient(lambda t: est.exact_cost(spec, t, inst), theta)
         assert np.allclose(grad, reference, atol=1e-5)
     with pytest.raises(DomainError):
-        est.grad_finite_diff(spec, theta, inst, 0.0, None)
+        opt.GradientDescentConfig(gradient="finite-diff", step=0.0)
 
 
 def test_finite_diff_gradients_unbiased():
@@ -151,12 +169,12 @@ def test_finite_diff_gradients_unbiased():
     spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 4, 1, instance=inst)
     rng = np.random.default_rng(39)
     theta = anz.init_random(spec, rng)
-    step = 0.5
-    exact_fd, _ = est.grad_finite_diff(spec, theta, inst, step, None)
+    rule = finite_diff(0.5)
+    exact_fd = gradient(spec, theta, inst, rule)
     reps = 3000
     draws = np.empty((reps, spec.n_params))
     for r in range(reps):
-        draws[r], _ = est.grad_finite_diff(spec, theta, inst, step, 4, rng)
+        draws[r] = gradient(spec, theta, inst, rule, shots=4, rng=rng)
     stderr = draws.std(axis=0) / math.sqrt(reps)
     assert np.all(np.abs(draws.mean(axis=0) - exact_fd) < 4 * stderr + 1e-12)
 
@@ -169,7 +187,7 @@ def test_finite_diff_variance_scales_with_shots():
     variances = {}
     for shots in (4, 8):
         draws = np.array(
-            [est.grad_finite_diff(spec, theta, inst, 0.5, shots, rng)[0] for _ in range(500)]
+            [gradient(spec, theta, inst, finite_diff(0.5), shots, rng) for _ in range(500)]
         )
         variances[shots] = draws.var(axis=0).mean()
     ratio = variances[4] / variances[8]
@@ -188,13 +206,3 @@ def test_minimum_tracker():
     # 4 shots seen before, hit at the second shot of the third set
     assert tracker.first_hit_calls == 6
     assert tracker.hit
-
-
-def test_samples_to_csv(tmp_path):
-    samples = sample_set([1.25, -3.5], bitstrings=[10, 255])
-    path = tmp_path / "samples.csv"
-    est.samples_to_csv(samples, path)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["shot_index", "bitstring_hex", "energy"]
-    assert rows[1] == ["0", "a", "1.25"]
-    assert rows[2] == ["1", "ff", "-3.5"]

@@ -374,6 +374,14 @@ def test_depth_sweep_ferromagnetic():
         assert deep.fsucc_median() >= shallow.fsucc_median()
 
 
+def test_depth_sweep_rejects_bad_arguments():
+    args = dict(sizes=[4], depths=[1], dt=0.8, shots=4, repetitions=2, master_seed=0)
+    for bad in ({"repetitions": 0}, {"shots": 0}, {"kind": "bogus"},
+                {"kind": "disordered", "instance_seeds": ()}):
+        with pytest.raises(DomainError):
+            exp.depth_sweep(**{**args, **bad})
+
+
 def test_depth_sweep_disordered_percentiles():
     result = exp.depth_sweep(
         sizes=[6], depths=[2, 8], dt=0.8, shots=16, repetitions=100,
@@ -449,6 +457,14 @@ def test_persistence_schema_errors(tmp_path):
     without_cells = {k: v for k, v in sweep.to_json().items() if k != "cells"}
     with pytest.raises(SchemaError):
         exp.SweepResult.from_json(without_cells)
+
+    depth = exp.depth_sweep(sizes=[4], depths=[1], dt=0.8, shots=4, repetitions=2,
+                            master_seed=0).to_json()
+    for p_gs, fsucc in (([], []), ([0.5], []), ([0.5], [0.5, 0.5])):
+        cell = {**depth["cells"][0], "p_gs": p_gs, "fsucc": fsucc}
+        path.write_text(json.dumps({**depth, "cells": [cell]}))
+        with pytest.raises(SchemaError):
+            exp.load_result(path)
 
 
 @pytest.mark.parametrize("writer", ["save_result", "write_trace"])

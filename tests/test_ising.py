@@ -144,6 +144,10 @@ def test_invalid_shapes():
         ising.IsingInstance(1, np.ones(0), np.zeros(1))
     with pytest.raises(DomainError, match="bogus"):
         ising.IsingInstance(2, np.ones(1), np.zeros(2), kind="bogus")
+    with pytest.raises(DomainError, match="bogus"):
+        ising.make_instances(4, "bogus", (0,))
+    with pytest.raises(DomainError, match="seed"):
+        ising.make_instances(4, ising.DISORDERED, ())
 
 
 def test_serialization_round_trip(tmp_path):

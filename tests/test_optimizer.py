@@ -51,6 +51,17 @@ def test_step_gradient_descent():
         opt.step_gradient_descent(np.zeros(2), np.zeros(3), 0.1)
 
 
+def minimize(rounds, objective):
+    """Drive a one-point-per-round generator with a callable objective, the
+    way ``opt.run`` drives it with sampled costs; returns its final value."""
+    try:
+        x = next(rounds)
+        while True:
+            x = rounds.send(float(objective(x)))
+    except StopIteration as done:
+        return done.value
+
+
 def test_hill_climb_acceptance_geometry():
     # reconstruct incumbents from the evaluation trace: every accepted move
     # has length exactly W, and only improving estimates are accepted
@@ -62,7 +73,7 @@ def test_hill_climb_acceptance_geometry():
         return float(np.sum(theta**2) + 0.1 * rng.standard_normal())
 
     w = 0.25
-    opt.hill_climb(noisy, np.full(3, 2.0), budget=60, step_norm=w, rng=np.random.default_rng(54))
+    minimize(opt.hill_climb_rounds(np.full(3, 2.0), 60, w, np.random.default_rng(54)), noisy)
     values = [float(np.sum(t**2)) for t in seen]  # deterministic replay not needed
     # replay acceptance with the recorded evaluations
     rng_replay = np.random.default_rng(53)
@@ -81,13 +92,17 @@ def test_trust_region_quadratic_convergence():
     def quadratic(x):
         return float(np.sum((x - 1.0) ** 2))
 
-    best, value = opt.trust_region_dfo(
-        quadratic, np.array([3.0]), budget=100, rng=np.random.default_rng(55)
+    best, value = minimize(
+        opt.trust_region_rounds(np.array([3.0]), 100, 1.0, 1e-4, np.random.default_rng(55)),
+        quadratic,
     )
     assert abs(best[0] - 1.0) < 1e-3
 
-    best, value = opt.trust_region_dfo(
-        quadratic, np.array([3.0, -2.0, 0.5]), budget=150, rng=np.random.default_rng(56)
+    best, value = minimize(
+        opt.trust_region_rounds(
+            np.array([3.0, -2.0, 0.5]), 150, 1.0, 1e-4, np.random.default_rng(56)
+        ),
+        quadratic,
     )
     assert np.linalg.norm(best - 1.0) < 1e-2
 
@@ -99,8 +114,8 @@ def test_trust_region_linear_cost_monotone():
         evals.append(float(2.0 * x[0] + x[1]))
         return evals[-1]
 
-    opt.trust_region_dfo(
-        linear, np.zeros(2), budget=25, rng=np.random.default_rng(57)
+    minimize(
+        opt.trust_region_rounds(np.zeros(2), 25, 1.0, 1e-4, np.random.default_rng(57)), linear
     )
     best_so_far = np.minimum.accumulate(evals)
     # after the 3-point simplex, trust-region steps march downhill every time
@@ -118,12 +133,14 @@ def test_trust_region_budget_exact():
 
     for budget in (1, 2, 7, 30):
         count = 0
-        opt.trust_region_dfo(
-            counting, np.ones(4), budget=budget, rng=np.random.default_rng(58)
+        minimize(
+            opt.trust_region_rounds(np.ones(4), budget, 1.0, 1e-4, np.random.default_rng(58)),
+            counting,
         )
         assert count == budget
     with pytest.raises(DomainError):
-        opt.trust_region_dfo(counting, np.ones(2), budget=0, rng=np.random.default_rng(0))
+        minimize(opt.trust_region_rounds(np.ones(2), 0, 1.0, 1e-4, np.random.default_rng(0)),
+                 counting)
 
 
 def _run_setup(size=4, family=anz.FAMILY_QAOA, depth=2):
