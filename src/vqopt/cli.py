@@ -93,12 +93,9 @@ def _cmd_run(args, parser) -> int:
     config = _optimizer_config(args.optimizer, args)
     noise = None if args.noise is None else NoiseModel.from_json(read_json(args.noise), "noise")
     rng = np.random.default_rng(args.seed)
-    if args.init == "linear":
-        theta0 = anz.init_linear_schedule(args.depth, args.dt)
-    else:
-        theta0 = anz.init_random(spec, rng, args.init_low, args.init_high)
+    init = exp.InitSpec(args.init, low=args.init_low, high=args.init_high, dt=args.dt)
     trace = opt.run(
-        spec, instance, ground, config, kind, args.shots, args.iters, theta0,
+        spec, instance, ground, config, kind, args.shots, args.iters, init.theta0(spec, rng),
         noise=noise, rng=rng, final_probe=args.final_probe,
     )
     echo = {

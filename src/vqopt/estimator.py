@@ -2,14 +2,15 @@
 
 A circuit evaluation (``sample``) draws M bitstrings from the prepared
 state and scores them against the instance's energy table; ``cost``
-aggregates them with either the plain mean or the CVaR rule (average of
-the lowest alpha-fraction).  Both gradient rules measure the 2 * n_par
-``shifted_points`` and combine their values with ``central_difference``:
-parameter shift with ``PARAM_SHIFT_RULE``, a finite difference of step h
-with (h, 2h).  ``optimizer.run`` samples each point with its own batch of
-shots and scores it with the mean.  Nothing here keeps a shot count across
-calls: inside an optimization run, ``optimizer.run`` is the only place
-that counts shots.
+aggregates them with the CVaR rule (average of the lowest alpha-fraction),
+whose alpha = 1 case is the plain mean.  Both gradient rules measure the
+2 * n_par ``shifted_points`` and combine their values with
+``central_difference``: parameter shift with ``PARAM_SHIFT_RULE``, a
+finite difference of step h with (h, 2h).  ``optimizer.run`` samples each
+point with its own batch of shots and scores it with the mean.  A
+``MinimumTracker`` counts the shots it observes; inside an optimization
+run, the run's tracker is the one shot counter.  ``exact_cost`` is the
+noise- and shot-free reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class SampleSet:
 
     bitstrings: np.ndarray  # (M,) integer bitstrings in draw order
     energies: np.ndarray  # (M,) energies f(x_i)
-    shots_spent: int
 
     def __len__(self) -> int:
         return int(self.bitstrings.size)
@@ -84,8 +84,7 @@ def cvar_cost(samples: SampleSet, alpha: float) -> float:
 
 
 def cost(samples: SampleSet, kind: CostKind) -> float:
-    if kind.alpha == 1.0:
-        return mean_cost(samples)
+    """The CVaR cost at the kind's alpha; alpha = 1 gives the sample mean."""
     return cvar_cost(samples, kind.alpha)
 
 
@@ -100,7 +99,7 @@ def sample(
     """Prepare the state at ``theta`` and draw ``shots`` scored measurements."""
     state = prepare_state(spec, theta, noise=noise, rng=rng)
     bitstrings = sim.sample_shots(state, shots, rng)
-    return SampleSet(bitstrings=bitstrings, energies=table[bitstrings], shots_spent=shots)
+    return SampleSet(bitstrings=bitstrings, energies=table[bitstrings])
 
 
 def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> float:

@@ -87,6 +87,14 @@ class InitSpec(Record):
                               f"unused by mode {init.mode!r}")
         return init
 
+    def theta0(self, spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
+        """The starting angles for ``spec``; only random mode draws from ``rng``."""
+        if self.mode == "linear":
+            return anz.init_linear_schedule(spec.depth, self.dt)
+        if self.mode == "zeros":
+            return np.zeros(spec.n_params)
+        return anz.init_random(spec, rng, self.low, self.high)
+
 
 @dataclass(frozen=True)
 class ProblemSpec(Record):
@@ -112,14 +120,6 @@ class ProblemSpec(Record):
 def _ansatz_for(problem: ProblemSpec, instance: IsingInstance) -> AnsatzSpec:
     ref = instance if problem.family == FAMILY_QAOA else None
     return AnsatzSpec(problem.family, problem.size, problem.depth, instance=ref)
-
-
-def _theta0_for(problem: ProblemSpec, spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
-    if problem.init.mode == "linear":
-        return anz.init_linear_schedule(problem.depth, problem.init.dt)
-    if problem.init.mode == "zeros":
-        return np.zeros(spec.n_params)
-    return anz.init_random(spec, rng, problem.init.low, problem.init.high)
 
 
 # --- statistics helpers ------------------------------------------------------
@@ -151,6 +151,19 @@ class CellResult(Record):
     hit_calls: list[list[int]]  # per instance, sorted first-hit shot counts
     psucc_hits: list[int] | None  # per instance, terminal-sample hit counts
 
+    @classmethod
+    def from_json(cls, obj, where: str | None = None) -> "CellResult":
+        """Read a cell; hit_calls holds one list per instance, so it is non-empty,
+        and psucc_hits, when present, has its length, or SchemaError is raised."""
+        cell = super().from_json(obj, where)
+        if not cell.hit_calls:
+            raise SchemaError(f"{where or cls.__name__}: hit_calls must hold one list "
+                              f"per instance")
+        if cell.psucc_hits is not None and len(cell.psucc_hits) != len(cell.hit_calls):
+            raise SchemaError(f"{where or cls.__name__}: psucc_hits and hit_calls differ "
+                              f"in length")
+        return cell
+
     def fsucc_per_instance(self, n_calls: int | None = None) -> list[float]:
         if n_calls is None:
             n_calls = self.budget_calls
@@ -161,7 +174,7 @@ class CellResult(Record):
 
     def fsucc(self, n_calls: int | None = None) -> float:
         per = self.fsucc_per_instance(n_calls)
-        return per[0] if len(per) == 1 else float(np.median(per))
+        return float(np.median(per))
 
     def fsucc_band(self) -> tuple[float, float, str]:
         per = self.fsucc_per_instance()
@@ -180,7 +193,7 @@ class CellResult(Record):
         per = self.psucc_per_instance()
         if per is None:
             return None
-        return per[0] if len(per) == 1 else float(np.median(per))
+        return float(np.median(per))
 
     def checkpoints(self) -> list[int]:
         """Iteration-boundary shot counts at which F_succ is reported."""
@@ -200,6 +213,18 @@ class SweepResult(Record):
     noise: NoiseModel | None = None
     schema_version: int = field(default=SCHEMA_VERSION, init=False)
     result_type: str = field(default="sweep", init=False)
+
+    @classmethod
+    def from_json(cls, obj, where: str | None = None) -> "SweepResult":
+        """Read a sweep; a cell whose instance count is not the problem's raises
+        SchemaError."""
+        sweep = super().from_json(obj, where)
+        count = len(sweep.problem.instances())
+        for index, cell in enumerate(sweep.cells):
+            if len(cell.hit_calls) != count:
+                raise SchemaError(f"{where or cls.__name__}.cells[{index}] has "
+                                  f"{len(cell.hit_calls)} instances, the problem has {count}")
+        return sweep
 
     def cell(self, shots: int, iters: int) -> CellResult:
         for c in self.cells:
@@ -286,7 +311,7 @@ def _run_shots_block(
             length = longest if _shares_prefix(config, final_probe, iters) else iters
             if length not in traces:
                 rng = np.random.default_rng([master_seed, instance_index, shots, rep])
-                theta0 = _theta0_for(problem, spec, rng)
+                theta0 = problem.init.theta0(spec, rng)
                 traces[length] = opt.run(
                     spec, instance, ground, config, kind, shots, length, theta0,
                     noise=noise, rng=rng, final_probe=final_probe,
@@ -330,8 +355,6 @@ def success_sweep(
         raise DomainError("empty grid")
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    if isinstance(config, opt.GradientDescentConfig) and config.shots_per_circuit is None:
-        raise DomainError("exact-mode gradient descent samples nothing, so it cannot be swept")
     if any(iters < 0 for _, iters in grid):
         raise DomainError(f"n_iter must be >= 0, got grid {grid}")
     instances = problem.instances()
@@ -540,10 +563,10 @@ class DepthCell(Record):
         return cell
 
     def p_gs_median(self) -> float:
-        return self.p_gs[0] if len(self.p_gs) == 1 else float(np.median(self.p_gs))
+        return float(np.median(self.p_gs))
 
     def fsucc_median(self) -> float:
-        return self.fsucc[0] if len(self.fsucc) == 1 else float(np.median(self.fsucc))
+        return float(np.median(self.fsucc))
 
 
 @dataclass
@@ -584,6 +607,8 @@ def depth_sweep(
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
+    if not sizes or not depths:
+        raise DomainError("empty size or depth list")
     cells = []
     for size in sizes:
         instances = make_instances(size, kind, instance_seeds)

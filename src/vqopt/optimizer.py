@@ -5,17 +5,16 @@ CMA-ES and Nevergrad: it yields the parameter vectors it wants measured
 and is sent back their values.  A round is one point for the energy-based
 ``trust_region_rounds`` (``TrustRegionConfig``, a COBYLA-flavored linear
 model) and ``hill_climb_rounds`` (``HillClimbConfig``); for
-``gradient_descent_rounds`` (``GradientDescentConfig``) it is theta with
-the 2 * n_par parameter-shift or finite-difference points of one step.
+``gradient_descent_rounds`` (``GradientDescentConfig``) it is the 2 * n_par
+parameter-shift or finite-difference points of one step.
 
-``run`` is the one loop that measures rounds, and the only code that
-counts shots: it samples every point, scans every sample set for
-ground-state hits, adds its shots to ``n_calls`` and appends one trace
-row per round.  One-point rounds are scored with the run's cost kind;
-gradient rounds with the mean, and their row carries the mean energy of
-all the round's shots.  A run with ``n_iter = 0`` performs a single
-M-shot measurement of theta0 and no optimization, which is the smallest
-run that can still observe success.
+``run`` is the one loop that measures rounds: it samples every point and
+folds every sample set into the run's ``MinimumTracker``, the one shot
+counter, whose count each trace row records as ``n_calls``.  One-point
+rounds are scored with the run's cost kind; gradient rounds with the mean,
+and their row carries the mean energy of all the round's shots.  A run
+with ``n_iter = 0`` performs a single M-shot measurement of theta0 and no
+optimization, which is the smallest run that can still observe success.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ from .estimator import (
     PARAM_SHIFT_RULE,
     CostKind,
     MinimumTracker,
-    SampleSet,
     central_difference,
     cost,
-    exact_cost,
     minimizer_hits,
     sample,
     shifted_points,
@@ -77,17 +74,13 @@ class HillClimbConfig(Record):
 
 @dataclass(frozen=True)
 class GradientDescentConfig(Record):
-    """Fixed-rate gradient descent on shot-estimated gradients.
-
-    ``shots_per_circuit = None`` selects the exact-expectation testing mode
-    (gradients from the statevector, nothing sampled, n_calls stays 0).
-    """
+    """Fixed-rate gradient descent on shot-estimated gradients."""
 
     name: str = field(default="gradient-descent", init=False)
     learning_rate: float = 0.1
     gradient: str = "param-shift"  # "param-shift" | "finite-diff"
     step: float = 0.5  # finite-difference increment
-    shots_per_circuit: int | None = 8
+    shots_per_circuit: int = 8
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -96,8 +89,8 @@ class GradientDescentConfig(Record):
             raise DomainError(f"unknown gradient estimator {self.gradient!r}")
         if self.step <= 0:
             raise DomainError("finite-difference step must be positive")
-        if self.shots_per_circuit is not None and self.shots_per_circuit < 1:
-            raise DomainError("shots_per_circuit must be >= 1 (or None for exact)")
+        if self.shots_per_circuit < 1:
+            raise DomainError("shots_per_circuit must be >= 1")
 
 
 OptimizerConfig = Union[TrustRegionConfig, HillClimbConfig, GradientDescentConfig]
@@ -117,12 +110,22 @@ class RunTrace:
 
     records: list[IterationRecord]
     final_theta: np.ndarray
-    success: bool  # a minimizer was sampled at least once anywhere
     psucc_hit: bool  # the terminal M-shot sample contained a minimizer
     first_hit_calls: int | None
-    f_min: float
-    n_calls: int
     probe_shots: int = 0  # terminal-probe shots, kept outside n_calls
+
+    @property
+    def success(self) -> bool:
+        """A minimizer was sampled at least once anywhere in the run."""
+        return self.first_hit_calls is not None
+
+    @property
+    def f_min(self) -> float:
+        return self.records[-1].f_min
+
+    @property
+    def n_calls(self) -> int:
+        return self.records[-1].n_calls
 
 
 def step_hill_climb(theta: np.ndarray, step_norm: float, rng: np.random.Generator) -> np.ndarray:
@@ -256,7 +259,7 @@ def trust_region_rounds(
 def gradient_descent_rounds(
     theta0: np.ndarray, n_iter: int, config: GradientDescentConfig
 ) -> Generator:
-    """theta -= eta * grad over ``n_iter`` rounds of (theta, shifted points).
+    """theta -= eta * grad over ``n_iter`` rounds of theta's shifted points.
 
     Each round is sent the mean costs of its points.  Returns (final theta, None).
     """
@@ -266,7 +269,7 @@ def gradient_descent_rounds(
         shift, denominator = config.step, 2.0 * config.step
     theta = np.array(theta0, dtype=float)
     for _ in range(n_iter):
-        means = yield theta, shifted_points(theta, shift)
+        means = yield shifted_points(theta, shift)
         grad = central_difference(means, denominator)
         theta = step_gradient_descent(theta, grad, config.learning_rate)
     return theta, None
@@ -329,54 +332,40 @@ def run(
     table = energy_table(instance)
     tracker = MinimumTracker(ground.minimizers)
     records: list[IterationRecord] = []
-    n_calls = 0
-    last: SampleSet | None = None
     ask = next(rounds)
     while True:
-        theta, points = ask if gradient else (ask, [ask])
-        if per_point is None:
-            # exact-expectation gradient mode: nothing is sampled or counted
-            values = [exact_cost(spec, x, instance) for x in points]
-            row_cost = exact_cost(spec, theta, instance)
-        else:
-            sets = [sample(spec, x, table, per_point, noise, rng) for x in points]
-            for samples in sets:
-                tracker.observe(samples)
-                n_calls += samples.shots_spent
-            values = [cost(samples, kind) for samples in sets]
-            row_cost = values[0]
-            if gradient:
-                row_cost = float(np.mean(np.concatenate([s.energies for s in sets])))
-            last = sets[-1]
-        records.append(IterationRecord(len(records) + 1, row_cost, tracker.f_min, n_calls))
+        points = ask if gradient else [ask]
+        sets = [sample(spec, x, table, per_point, noise, rng) for x in points]
+        for samples in sets:
+            last_hit = tracker.observe(samples)
+        values = [cost(samples, kind) for samples in sets]
+        row_cost = values[0]
+        if gradient:
+            row_cost = float(np.mean(np.concatenate([s.energies for s in sets])))
+        records.append(
+            IterationRecord(len(records) + 1, row_cost, tracker.f_min, tracker.shots_seen)
+        )
         try:
             ask = rounds.send(values if gradient else values[0])
         except StopIteration as done:
             final_theta = done.value[0]
             break
 
-    success = tracker.hit
-    probe_shots = 0
-    minimizers = np.asarray(ground.minimizers, dtype=np.int64)
-    if n_iter == 0:
-        psucc_hit = success
-    elif final_probe:
+    # the run's last sample set is its terminal sample, unless a final probe follows the rounds
+    psucc_hit, probe_shots = last_hit, 0
+    if final_probe and n_iter > 0:
         # terminal measurement only; deliberately kept out of the tracker so
         # success/first_hit_calls reflect the optimization loop alone
         probe = sample(spec, final_theta, table, shots, noise, rng)
+        minimizers = np.asarray(ground.minimizers, dtype=np.int64)
         psucc_hit = bool(minimizer_hits(probe.bitstrings, minimizers).any())
         probe_shots = shots
-    else:
-        psucc_hit = last is not None and bool(minimizer_hits(last.bitstrings, minimizers).any())
 
     return RunTrace(
         records=records,
         final_theta=np.asarray(final_theta, dtype=float),
-        success=success,
         psucc_hit=psucc_hit,
         first_hit_calls=tracker.first_hit_calls,
-        f_min=tracker.f_min,
-        n_calls=n_calls,
         probe_shots=probe_shots,
     )
 

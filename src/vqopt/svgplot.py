@@ -55,6 +55,24 @@ def _fmt(v: float) -> str:
     return f"{v:.3g}"
 
 
+# axis scale -> (coordinate transform, base of its log ticks; None for linear ticks)
+_SCALES = {
+    "linear": (lambda v: v, None),
+    "log10": (math.log10, 10),
+    "log2": (math.log2, 2),
+}
+
+
+def _axis_ticks(scale: str, lo: float, hi: float) -> list[tuple[float, str]]:
+    """(position, label) of each tick in [lo, hi], in transformed coordinates."""
+    base = _SCALES[scale][1]
+    if base is None:
+        ticks = _ticks_linear(lo, hi)
+    else:  # log ticks are placed in data units, then transformed back
+        ticks = [math.log(v, base) for v in _ticks_log(base**lo, base**hi, base)]
+    return [(t, _fmt(t if base is None else base**t)) for t in ticks if lo <= t <= hi]
+
+
 def line_plot(
     path: str | Path,
     series: list[Series],
@@ -69,20 +87,7 @@ def line_plot(
     if not pts:
         raise DomainError("nothing to plot")
 
-    def tx(v: float) -> float:
-        if xscale == "log10":
-            return math.log10(v)
-        if xscale == "log2":
-            return math.log2(v)
-        return v
-
-    def ty(v: float) -> float:
-        if yscale == "log10":
-            return math.log10(v)
-        if yscale == "log2":
-            return math.log2(v)
-        return v
-
+    tx, ty = _SCALES[xscale][0], _SCALES[yscale][0]
     xs = [tx(x) for x, _ in pts]
     ys = [ty(y) for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -118,34 +123,14 @@ def line_plot(
             f'font-size="14">{title}</text>'
         )
 
-    # ticks (back-transform for labels)
-    if xscale == "linear":
-        xticks = _ticks_linear(x_lo, x_hi)
-    else:
-        base = 10 if xscale == "log10" else 2
-        xticks_v = _ticks_log(base**x_lo, base**x_hi, base)
-        xticks = [math.log(v, base) for v in xticks_v]
-    if yscale == "linear":
-        yticks = _ticks_linear(y_lo, y_hi)
-    else:
-        base = 10 if yscale == "log10" else 2
-        yticks_v = _ticks_log(base**y_lo, base**y_hi, base)
-        yticks = [math.log(v, base) for v in yticks_v]
-
-    for t in xticks:
-        if not x_lo <= t <= x_hi:
-            continue
+    for t, label in _axis_ticks(xscale, x_lo, x_hi):
         x = _ML + (t - x_lo) / (x_hi - x_lo) * plot_w
-        label = _fmt(t if xscale == "linear" else (10 if xscale == "log10" else 2) ** t)
         out.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" '
                    f'y2="{_MT + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    for t in yticks:
-        if not y_lo <= t <= y_hi:
-            continue
+    for t, label in _axis_ticks(yscale, y_lo, y_hi):
         y = _MT + (y_hi - t) / (y_hi - y_lo) * plot_h
-        label = _fmt(t if yscale == "linear" else (10 if yscale == "log10" else 2) ** t)
         out.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" '
                    'stroke="#333"/>')
         out.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>')

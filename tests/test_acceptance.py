@@ -79,7 +79,7 @@ def test_criterion_3_cvar_unit_semantics():
     def samples(energies, bits=None):
         energies = np.asarray(energies, dtype=float)
         bits = np.arange(len(energies)) if bits is None else np.asarray(bits)
-        return est.SampleSet(bits, energies, len(energies))
+        return est.SampleSet(bits, energies)
 
     exact = (
         est.cvar_cost(samples([4, 1, 3, 2]), 0.25) == 1.0

@@ -275,6 +275,18 @@ _BAD_INPUTS = [
                      "instance_seeds": [], "cells": [{"size": 4, "depth": 1, "p_gs": [],
                                                       "fsucc": []}]}},
      ["report", "--in", "depth.json", "--out", "r"], {}, 1),
+    ("sweep result with a cell of no instances",
+     {"sweep.json": {"schema_version": 1, "result_type": "sweep",
+                     "problem": {"family": "qaoa", "size": 4, "depth": 1},
+                     "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
+                     "master_seed": 0, "final_probe": False, "noise": None,
+                     "cells": [{"shots": 4, "iters": 2, "repetitions": 2, "budget_calls": 8,
+                                "calls_per_iter": 4, "hit_calls": [], "psucc_hits": None}]}},
+     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+    ("depth sweep with no sizes", {},
+     ["depth-sweep", "--depths", "1", "--sizes=", "--out", "o"], {}, 1),
+    ("depth sweep with no depths", {},
+     ["depth-sweep", "--depths=", "--sizes", "4", "--out", "o"], {}, 1),
     ("init field its mode does not use",
      {"spec.json": _bad_sweep_spec(init={"mode": "linear", "low": 0.0, "high": 0.1})},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),

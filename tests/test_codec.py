@@ -18,14 +18,14 @@ _RECORDS = [
      ("name", "hill-climb")),
     (opt.HillClimbConfig(step_norm=0.05), None, ("step_norm", [0.05]),
      ("name", "trust-region-dfo")),
-    (opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=None), None,
+    (opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=5), None,
      ("shots_per_circuit", 1.5), ("name", "gd")),
     (exp.InitSpec("linear", dt=0.6), None, ("dt", None), None),
     (exp.ProblemSpec("qaoa", 6, 2, "disordered", (3, 5), exp.InitSpec("zeros")), "family",
      ("instance_seeds", ["3"]), None),
     (_CELL, "hit_calls", ("hit_calls", [[8.0]]), None),
-    (exp.SweepResult(exp.ProblemSpec("vqe-ry-cnot", 4, 1), opt.HillClimbConfig().to_json(), 0.25,
-                     4, 7, True, [_CELL], noise=_NOISE),
+    (exp.SweepResult(exp.ProblemSpec("vqe-ry-cnot", 4, 1, "disordered", (3, 5)),
+                     opt.HillClimbConfig().to_json(), 0.25, 4, 7, True, [_CELL], noise=_NOISE),
      "cells", ("final_probe", 1), ("schema_version", 2)),
     (exp.ScalingFit(points=[(6, 10.0), (8, 40.0)], amplitude=0.5, exponent=0.4, l_min=6,
                     residuals=[0.0, -0.0], target=0.25),

@@ -13,7 +13,7 @@ def sample_set(energies, bitstrings=None):
     energies = np.asarray(energies, dtype=float)
     if bitstrings is None:
         bitstrings = np.arange(len(energies))
-    return est.SampleSet(np.asarray(bitstrings), energies, shots_spent=len(energies))
+    return est.SampleSet(np.asarray(bitstrings), energies)
 
 
 def test_mean_cost():
@@ -52,6 +52,7 @@ def test_cvar_matches_mean_at_full_alpha_random():
         m = int(rng.integers(1, 40))
         samples = sample_set(rng.standard_normal(m), rng.integers(0, 100, m))
         assert est.cvar_cost(samples, 1.0) == pytest.approx(est.mean_cost(samples))
+        assert est.cost(samples, est.MEAN) == est.mean_cost(samples)  # bit for bit
         assert est.cvar_cost(samples, 0.25) <= est.mean_cost(samples) + 1e-12
 
 
@@ -96,7 +97,7 @@ def test_evaluate_single_shot_and_delta_state():
     assert np.all(samples.bitstrings == 0)
     assert value == pytest.approx(ising.energy(inst, 0))
     assert value == pytest.approx(-2.8)
-    assert samples.shots_spent == 64
+    assert len(samples) == 64
 
 
 def test_evaluate_uniform_state_clt():

@@ -128,10 +128,6 @@ def test_sweep_rejects_bad_arguments():
     # a negative n_iter is rejected even where a longer cell at its M could cover it
     with pytest.raises(DomainError):
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5), (8, -1)], 2, 0)
-    # exact-mode gradient descent draws no shots, so no cell could ever hit
-    exact = opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=None)
-    with pytest.raises(DomainError):
-        exp.success_sweep(problem, exact, est.MEAN, [(8, 5)], 2, 0)
 
 
 def geometric_quantile_cell(size: int, repetitions: int, budget_iters: int) -> exp.CellResult:
@@ -377,7 +373,7 @@ def test_depth_sweep_ferromagnetic():
 def test_depth_sweep_rejects_bad_arguments():
     args = dict(sizes=[4], depths=[1], dt=0.8, shots=4, repetitions=2, master_seed=0)
     for bad in ({"repetitions": 0}, {"shots": 0}, {"kind": "bogus"},
-                {"kind": "disordered", "instance_seeds": ()}):
+                {"kind": "disordered", "instance_seeds": ()}, {"sizes": []}, {"depths": []}):
         with pytest.raises(DomainError):
             exp.depth_sweep(**{**args, **bad})
 
@@ -449,6 +445,11 @@ def test_persistence_schema_errors(tmp_path):
         json.dumps({k: v for k, v in sweep.to_json().items() if k != "cells"}),
         good.replace('"hit_calls"', '"hit_cals"'),
         good.replace('"repetitions": 5', '"repetitions": "five"'),
+        # a cell holds one hit list per instance of the problem, and as many psucc counts
+        json.dumps({**sweep.to_json(), "cells": [{**cells[0], "hit_calls": []}, *cells[1:]]}),
+        json.dumps({**sweep.to_json(), "cells": [{**cells[0], "hit_calls": [[8], [16]]},
+                                                 *cells[1:]]}),
+        json.dumps({**sweep.to_json(), "cells": [cells[0], {**cells[1], "psucc_hits": [1, 2]}]}),
     ]
     for text in mutations:
         path.write_text(text)

@@ -201,24 +201,32 @@ def test_run_param_shift_family_guard():
 
 
 def test_run_exact_gradient_descent_monotone():
+    # the descent rounds sent exact expectations in place of sampled means:
+    # the exact cost at each round's theta never rises
     spec, inst, ground = _run_setup(size=4, family=anz.FAMILY_VQE, depth=1)
-    cfg = opt.GradientDescentConfig(
-        learning_rate=0.1, gradient="param-shift", shots_per_circuit=None
-    )
-    rng = np.random.default_rng(63)
-    theta0 = anz.init_random(spec, rng, -0.5, 0.5)
-    trace = opt.run(spec, inst, ground, cfg, est.MEAN, 16, 50, theta0, rng=rng)
-    costs = [r.cost for r in trace.records]
+    cfg = opt.GradientDescentConfig(learning_rate=0.1, gradient="param-shift")
+    theta0 = anz.init_random(spec, np.random.default_rng(63), -0.5, 0.5)
+    rounds = opt.gradient_descent_rounds(theta0, 50, cfg)
+    costs = []
+    try:
+        points = next(rounds)
+        while True:
+            # each +-shift pair is centered on the round's theta
+            costs.append(est.exact_cost(spec, points.mean(axis=0), inst))
+            points = rounds.send([est.exact_cost(spec, x, inst) for x in points])
+    except StopIteration as done:
+        final_theta, _ = done.value
+    costs.append(est.exact_cost(spec, final_theta, inst))
+    assert len(costs) == 51
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
-    assert trace.n_calls == 0  # exact mode stays out of shot accounting
 
 
 def test_run_shot_audit_against_instrumented_sampler(monkeypatch):
-    drawn = {"count": 0}
+    drawn = []  # running total of the shots drawn, after each sample_shots call
     real = sim.sample_shots
 
     def audited(state, shots, rng):
-        drawn["count"] += shots
+        drawn.append((drawn[-1] if drawn else 0) + shots)
         return real(state, shots, rng)
 
     monkeypatch.setattr(sim, "sample_shots", audited)
@@ -232,16 +240,25 @@ def test_run_shot_audit_against_instrumented_sampler(monkeypatch):
         (spec, opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=2), est.MEAN),
         (vqe_spec, opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=2), est.MEAN),
     ]
-    for use_spec, cfg, kind in configs:
-        for trial in range(5):
-            drawn["count"] = 0
-            shots = int(rng.integers(1, 64))
-            iters = int(rng.integers(0, 15))
-            trace = opt.run(
-                use_spec, inst, ground, cfg, kind, shots, iters,
-                anz.init_random(use_spec, rng), rng=rng,
-            )
-            assert trace.n_calls == drawn["count"]
+    for noise in (None, sim.NoiseModel(t1_us=2.0, t2_us=3.0)):
+        for probe in (False, True):
+            for use_spec, cfg, kind in configs:
+                for trial in range(5):
+                    drawn.clear()
+                    shots = int(rng.integers(1, 64))
+                    iters = int(rng.integers(0, 15))
+                    trace = opt.run(
+                        use_spec, inst, ground, cfg, kind, shots, iters,
+                        anz.init_random(use_spec, rng), noise=noise, rng=rng, final_probe=probe,
+                    )
+                    gradient = isinstance(cfg, opt.GradientDescentConfig) and iters > 0
+                    per_round = 2 * use_spec.n_params if gradient else 1
+                    probed = probe and iters > 0
+                    assert len(drawn) == per_round * len(trace.records) + probed
+                    # each row counts the shots drawn up to the end of its round
+                    ends = drawn[per_round - 1 :: per_round]
+                    assert [r.n_calls for r in trace.records] == ends[: len(trace.records)]
+                    assert trace.n_calls + trace.probe_shots == drawn[-1]
 
 
 def test_run_final_probe():
@@ -320,7 +337,6 @@ _PIN_OPTIMIZERS = {
     "hc": (anz.FAMILY_VQE, opt.HillClimbConfig(step_norm=0.4)),
     "gd-ps": (anz.FAMILY_VQE, opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=2)),
     "gd-fd": (anz.FAMILY_QAOA, opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=2)),
-    "gd-exact": (anz.FAMILY_VQE, opt.GradientDescentConfig(shots_per_circuit=None)),
 }
 
 _PIN_DIGESTS = {
@@ -388,22 +404,6 @@ _PIN_DIGESTS = {
     "gd-fd-9-probe-ideal-cvar25": "f78aff3e50440325b9c1a6a12b42d1900beaa77e51d43febffadce78fac63564",
     "gd-fd-9-probe-noisy-mean": "1a7c1e244fd193b7b3185be46a1efc8d01895b0638a07e22c2361f694f6921c4",
     "gd-fd-9-probe-noisy-cvar25": "cabf43f20ed5265b614f0382d5793c5ef152698e4d3b0c9f898bbccea198dcfd",
-    "gd-exact-0-noprobe-ideal-mean": "6ab20a9f409226b3e11e4c6827d2637498b8e8682509c23c7c1196b0941b0a73",
-    "gd-exact-0-noprobe-ideal-cvar25": "cc51af43466ee0a1c072a1305afad81362220ca96068f48207d32e81dcb36cd7",
-    "gd-exact-0-noprobe-noisy-mean": "86a0b4f684d2447db85238af2ca83a379d58dee70b71cc79ee09513a7199da8e",
-    "gd-exact-0-noprobe-noisy-cvar25": "7f84f92d2f6476aa03ab1fa71b8f8040318ca289b7599b37a5bd86f8e2576d97",
-    "gd-exact-0-probe-ideal-mean": "0076c257de9f970e354ff4792f217712b2c0ecbe18799af54102b7f5ad849b46",
-    "gd-exact-0-probe-ideal-cvar25": "490a8a81ff95fc6e97a32496a630e060f02ca54025027cb762b70de35c5f70a0",
-    "gd-exact-0-probe-noisy-mean": "618f9d9a21bef0c8967336226021b09f6fbb11ef7e81aea5f967fe9845c6b0fc",
-    "gd-exact-0-probe-noisy-cvar25": "f949a606eb49ef812aef6aae2742402a18345ffa085c3da40c8d865845eceaee",
-    "gd-exact-9-noprobe-ideal-mean": "5c8d7c76ad4390cb677fed0fd82d0742ff8a5f0d4975a34c4440ae52bc466c2e",
-    "gd-exact-9-noprobe-ideal-cvar25": "d8d251115c6111b600ab8ea3dd68964bc1994268485b7f5d6ac758a08ee9e6f9",
-    "gd-exact-9-noprobe-noisy-mean": "c12ca354a337eab091ac93a02158298d827c170d016f18159a6532d1859a9ab1",
-    "gd-exact-9-noprobe-noisy-cvar25": "8da9161b6b1cd4e4151a0aec203268a2f988e4e45c620efa59a524d77ce7848f",
-    "gd-exact-9-probe-ideal-mean": "1457570d989ced6f9537569c4fd1e80e6d01fc5a6c80503c108e673d1fa1338b",
-    "gd-exact-9-probe-ideal-cvar25": "cfb3464673c3fa15d1d29ee72118f8cd6a969a6de47f7d9ff544cf2af4dc5fc2",
-    "gd-exact-9-probe-noisy-mean": "5d6c50ac690378856a6234bc8ed005df6db86b09e0aba9e3181e7ca6db88d893",
-    "gd-exact-9-probe-noisy-cvar25": "98b55e3d06b10dfa9c93ba76e94f89fa1f54169316876ce2b0ba9d0c9b2750a8",
 }
 
 
