@@ -1,11 +1,18 @@
-"""Per-call time of ``vqopt.ansatz.prepare_state``, written to BENCH_prepare_state.json.
+"""Per-call time of ``vqopt.ansatz.prepare_state`` and ``vqopt.ising.energy_table``,
+written to BENCH_prepare_state.json.
 
-Rows: family {vqe, qaoa} x {ideal, noisy} x L in {6, 8, 10, 12} at depth 2.
-Each row is the median over REPEATS batches of the microseconds per
-call; a batch times enough calls to last about BATCH_MS milliseconds.
-Batches are interleaved: every repeat visits every row once, and, with
-``--baseline``, runs the two source trees back to back on each row, so
-a slow phase of the machine lands on both sides alike.
+``prepare_state`` rows: family {vqe, qaoa} x {ideal, noisy} x L in
+{6, 8, 10, 12} at depth 2, plus ideal QAOA at L in {16, 18, 20}, depth 8
+(the states of the large-L depth sweep, 1-16 MB).  ``energy_table`` rows:
+one fresh table per call at L in {12, 16, 18, 20}, in milliseconds, with
+the tracemalloc peak of one build in MB (the 8 B/entry table included).
+
+Each timed row is the median over REPEATS batches of the time per call;
+a batch times enough calls to last about BATCH_MS milliseconds, and at
+least MIN_BATCH calls.  Batches are interleaved: every repeat visits
+every row once, and, with ``--baseline``, runs the two source trees back
+to back on each row, so a slow phase of the machine lands on both sides
+alike.
 
     python3 bench/prepare_state.py                         # this checkout only
     python3 bench/prepare_state.py --baseline OTHER/src    # plus another tree
@@ -15,7 +22,8 @@ parent commit, made with ``git archive`` or ``git clone``); its rows are
 labelled ``parent`` and this checkout's ``change``.  Both packages are
 loaded into one process under different names.  Noisy rows use
 ``NoiseModel(t1_us=50, t2_us=70)``; QAOA rows use disordered instance 0,
-whose energy table is built before timing.
+whose energy table is built before timing; an ``energy_table`` call also
+makes that instance (microseconds), since tables are cached on it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from importlib import import_module
 from pathlib import Path
 
@@ -36,8 +45,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (6, 8, 10, 12)
 DEPTH = 2
+LARGE_SIZES = (16, 18, 20)
+LARGE_DEPTH = 8
+TABLE_SIZES = (12, 16, 18, 20)
 REPEATS = 15
 BATCH_MS = 40.0
+MIN_BATCH = 3
 
 
 def load_tree(src: Path, name: str):
@@ -50,17 +63,19 @@ def load_tree(src: Path, name: str):
     return module
 
 
-def make_case(vq, family: str, noisy: bool, size: int):
-    """A zero-argument callable that prepares one state of the given row."""
+def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int):
+    """A zero-argument callable that runs one call of the given row."""
     anz = import_module(f"{vq.__name__}.ansatz")
     ising = import_module(f"{vq.__name__}.ising")
     sim = import_module(f"{vq.__name__}.simulator")
+    if layer == "energy_table":
+        return lambda: ising.energy_table(ising.make_disordered(size, 0))
     if family == "vqe":
-        spec = anz.AnsatzSpec(anz.FAMILY_VQE, size, DEPTH)
+        spec = anz.AnsatzSpec(anz.FAMILY_VQE, size, depth)
     else:
         instance = ising.make_disordered(size, 0)
         ising.energy_table(instance)
-        spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, DEPTH, instance=instance)
+        spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=instance)
     theta = anz.init_random(spec, np.random.default_rng(size))
     noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0) if noisy else None
     rng = np.random.default_rng(7)
@@ -75,6 +90,16 @@ def time_batch(call, n: int) -> float:
     return (time.perf_counter() - start) / n * 1e6
 
 
+def peak_mb(call) -> float:
+    """Peak traced allocation of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, help="src directory of the tree to compare with")
@@ -84,8 +109,10 @@ def main(argv: list[str] | None = None) -> None:
     trees = {"change": load_tree(ROOT / "src", "vqopt_change")}
     if args.baseline is not None:
         trees = {"parent": load_tree(args.baseline, "vqopt_parent"), **trees}
-    rows = [(family, noisy, size) for family in ("vqe", "qaoa") for noisy in (False, True)
-            for size in SIZES]
+    rows = [("prepare_state", family, noisy, size, DEPTH) for family in ("vqe", "qaoa")
+            for noisy in (False, True) for size in SIZES]
+    rows += [("prepare_state", "qaoa", False, size, LARGE_DEPTH) for size in LARGE_SIZES]
+    rows += [("energy_table", None, False, size, None) for size in TABLE_SIZES]
     cases = {(row, label): make_case(vq, *row) for row in rows for label, vq in trees.items()}
 
     # warm up and size each batch from the first tree's pace
@@ -93,8 +120,8 @@ def main(argv: list[str] | None = None) -> None:
     for row in rows:
         for label in trees:
             cases[row, label]()
-        per_call = time_batch(cases[row, next(iter(trees))], 20)
-        batch[row] = max(5, int(BATCH_MS * 1e3 / per_call))
+        per_call = time_batch(cases[row, next(iter(trees))], 3)
+        batch[row] = max(MIN_BATCH, int(BATCH_MS * 1e3 / per_call))
 
     samples = {key: [] for key in cases}
     for repeat in range(REPEATS):
@@ -104,26 +131,38 @@ def main(argv: list[str] | None = None) -> None:
                 samples[row, label].append(time_batch(cases[row, label], batch[row]))
 
     out = []
-    for family, noisy, size in rows:
-        entry = {"family": family, "noise": "noisy" if noisy else "ideal", "L": size, "d": DEPTH,
-                 "calls_per_batch": batch[family, noisy, size]}
+    for row in rows:
+        layer, family, noisy, size, depth = row
+        if layer == "energy_table":
+            entry, unit, scale = {"layer": layer, "L": size}, "ms", 1e-3
+        else:
+            entry = {"layer": layer, "family": family, "noise": "noisy" if noisy else "ideal",
+                     "L": size, "d": depth}
+            unit, scale = "us", 1.0
+        entry["calls_per_batch"] = batch[row]
         for label in trees:
-            runs = samples[(family, noisy, size), label]
+            runs = [sample * scale for sample in samples[row, label]]
             q1, _, q3 = statistics.quantiles(runs, n=4)
-            entry[f"{label}_us_p50"] = round(statistics.median(runs), 2)
-            entry[f"{label}_us_iqr"] = round(q3 - q1, 2)
+            entry[f"{label}_{unit}_p50"] = round(statistics.median(runs), 3)
+            entry[f"{label}_{unit}_iqr"] = round(q3 - q1, 3)
+            if layer == "energy_table":
+                entry[f"{label}_peak_mb"] = round(peak_mb(cases[row, label]), 2)
         if "parent" in trees:
-            entry["change_over_parent"] = round(entry["change_us_p50"] / entry["parent_us_p50"], 3)
+            entry["change_over_parent"] = round(entry[f"change_{unit}_p50"]
+                                                / entry[f"parent_{unit}_p50"], 3)
         out.append(entry)
         print(json.dumps(entry), file=sys.stderr)
 
     record = {
         "topic": "prepare_state",
-        "what": "microseconds per vqopt.ansatz.prepare_state call, median of interleaved batches",
+        "what": "per call: microseconds of vqopt.ansatz.prepare_state and milliseconds of "
+                "vqopt.ising.energy_table (with its tracemalloc peak), median of interleaved "
+                "batches",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "python": platform.python_version(), "processor": platform.machine()},
         "repeats": REPEATS,
         "batch_ms": BATCH_MS,
+        "min_batch": MIN_BATCH,
         "noise": {"t1_us": 50.0, "t2_us": 70.0, "t1q_ns": 50.0, "t2q_ns": 300.0},
         "trees": list(trees),
         "rows": out,

@@ -23,7 +23,13 @@ noisy path so that every physical gate passes through the noise channel.
 on the spec), and :func:`prepare_state` runs the steps in one loop.  A
 noisy plan follows every gate with one relaxation step per touched qubit.
 RY-CNOT plans work on a float64 state, and an ideal plan applies each
-CNOT ladder as one precomputed permutation of the amplitudes.
+CNOT ladder as one precomputed permutation of the amplitudes.  An ideal
+QAOA mixer is one cache-blocked step: it rotates qubits 0..B-1 on each
+contiguous chunk of 2^B amplitudes (B = 14, a 256 KB chunk that stays
+in a 1 MB L2 cache) before the qubits from B up on the whole state, so
+above L = B each rotation on a low qubit reaches the simulator once per
+chunk.  Every amplitude sees the same operations in the same order, so
+the bits are those of one full-state RX per qubit.
 """
 
 from __future__ import annotations
@@ -108,6 +114,10 @@ class Plan(NamedTuple):
     steps: tuple[Callable, ...]
 
 
+# The ideal mixer's chunk: 2^14 complex amplitudes (256 KB) fit a 1 MB L2
+# cache; measured against 2^12-2^16 at L 16-20.
+_BLOCK_QUBITS = 14
+
 # Step kernels: the plan binds the leading arguments, the loop passes
 # (state, theta, rng).  Gates are looked up on the simulator at call time,
 # so a wrapper installed there (a tracer, a test's spy) sees every call,
@@ -121,6 +131,18 @@ def _ry(qubit, index, state, theta, rng):
 def _mixer(qubit, index, state, theta, rng):
     # exp(i beta X_j) = rx(2 beta) under the rx sign convention
     sim.apply_rx(state, qubit, 2.0 * theta[index])
+
+
+def _mixer_layer(size, index, state, theta, rng):
+    # the ideal mixer, cache-blocked: the low qubits chunk by chunk, then the rest
+    angle = 2.0 * theta[index]
+    low = min(size, _BLOCK_QUBITS)
+    for chunk in state.amplitudes.reshape(-1, 1 << low):
+        block = StateVector(low, chunk)
+        for j in range(low):
+            sim.apply_rx(block, j, angle)
+    for j in range(low, size):
+        sim.apply_rx(state, j, angle)
 
 
 def _phase(table, index, state, theta, rng):
@@ -202,8 +224,11 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
                 gate("rzz", (j, j + 1), _rzz, j, 2.0 * float(instance.couplings[j]), gamma)
             for j in range(size):
                 gate("rz", (j,), _rz, j, 2.0 * float(instance.fields[j]), gamma)
-        for j in range(size):
-            gate("rx", (j,), _mixer, j, beta)
+        if noise is None:
+            steps.append(functools.partial(_mixer_layer, size, beta))
+        else:
+            for j in range(size):
+                gate("rx", (j,), _mixer, j, beta)
     return Plan(sim.init_plus, tuple(steps))
 
 

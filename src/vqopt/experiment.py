@@ -87,8 +87,13 @@ class InitSpec(Record):
                               f"unused by mode {init.mode!r}")
         return init
 
+    def check_family(self, family: str) -> None:
+        if self.mode == "linear" and family != FAMILY_QAOA:
+            raise DomainError("the linear schedule only applies to qaoa")
+
     def theta0(self, spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
         """The starting angles for ``spec``; only random mode draws from ``rng``."""
+        self.check_family(spec.family)
         if self.mode == "linear":
             return anz.init_linear_schedule(spec.depth, self.dt)
         if self.mode == "zeros":
@@ -110,8 +115,7 @@ class ProblemSpec(Record):
     def __post_init__(self) -> None:
         anz.check_family(self.family)
         check_kind(self.kind, self.instance_seeds)
-        if self.init.mode == "linear" and self.family != FAMILY_QAOA:
-            raise DomainError("the linear schedule only applies to qaoa")
+        self.init.check_family(self.family)
 
     def instances(self) -> list[IsingInstance]:
         return make_instances(self.size, self.kind, self.instance_seeds)

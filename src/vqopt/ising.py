@@ -25,7 +25,9 @@ DISORDERED = "disordered"
 # 2^L arrays stop being desk-scale.
 MAX_QUBITS = 24
 
-_TABLE_CHUNK = 1 << 18
+# Rows of the energy table built at once: at 2^14 the (rows, L) bit and spin
+# temporaries stay a few MB, where 2^18 rows peaked at 135 MB for L = 20.
+_TABLE_CHUNK = 1 << 14
 
 SCHEMA_VERSION = 1
 

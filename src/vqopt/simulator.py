@@ -7,7 +7,11 @@ its gates and both relaxation branches, so its states are float64: RY,
 CNOT and :func:`relax` accept either dtype and give a real state the
 same bits as its complex twin; the gates with complex factors (RX, RZ,
 RZZ, diagonal phase) reject a real state.  Gates mutate the state in
-place.  Rotation sign conventions:
+place.  A 1-qubit gate on qubit q < k pairs amplitudes within each
+contiguous block of 2^k, so it can act on one block at a time through a
+``StateVector(k, block)`` view and give the same bits as on the whole
+state (the blocked QAOA mixer of :mod:`vqopt.ansatz` does this).
+Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
     rx(theta)  = exp(+i theta X / 2)
@@ -134,6 +138,9 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
         a[:, :, :, 1] = a[:, ::-1, :, 1]
 
 
+_ZZ = np.array([[1, -1], [-1, 1]])  # Z.Z on (bit a, bit b)
+
+
 def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> None:
     """Two-qubit phase exp(+i theta Z.Z / 2)."""
     _check_qubit(state, qubit_a)
@@ -141,9 +148,11 @@ def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> N
     if qubit_a == qubit_b:
         raise DomainError("rzz qubits must differ")
     _check_complex(state)
-    idx = np.arange(state.amplitudes.size)
-    zz = 1 - 2 * (((idx >> qubit_a) ^ (idx >> qubit_b)) & 1)
-    state.amplitudes *= np.exp(0.5j * theta * zz)
+    high, low = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
+    # axes 1 and 3 are the two qubits; the (bit, bit) phases broadcast over
+    # the rest, with no 2^L index or phase array
+    a = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+    a *= np.exp(0.5j * theta * _ZZ)[:, None, :, None]
 
 
 def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma: float) -> None:
@@ -154,7 +163,9 @@ def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma: float)
             f"dimension {state.amplitudes.shape}"
         )
     _check_complex(state)
-    state.amplitudes *= np.exp(1j * gamma * energies)
+    phase = np.multiply(1j * gamma, energies)
+    np.exp(phase, out=phase)
+    state.amplitudes *= phase
 
 
 def expectation_diagonal(state: StateVector, energies: np.ndarray) -> float:

@@ -74,6 +74,14 @@ def dense_cnot() -> np.ndarray:
     return mat
 
 
+def index_rzz(amplitudes: np.ndarray, qubit_a: int, qubit_b: int, theta: float) -> None:
+    """RZZ in place from a Z.Z sign per basis index and one 2^L phase array
+    (the kernel's earlier form; it must give the same bits)."""
+    idx = np.arange(amplitudes.size)
+    zz = 1 - 2 * (((idx >> qubit_a) ^ (idx >> qubit_b)) & 1)
+    amplitudes *= np.exp(0.5j * theta * zz)
+
+
 def dense_vqe_state(size: int, depth: int, theta: np.ndarray) -> np.ndarray:
     """RY-CNOT circuit on |0...0> via full matrices."""
     state = np.zeros(2**size, dtype=complex)

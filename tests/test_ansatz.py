@@ -114,6 +114,17 @@ def test_gate_budget(monkeypatch):
     assert counts == {"apply_diagonal_phase": qaoa.depth, "apply_rx": qaoa.depth * qaoa.size}
 
 
+def test_blocked_mixer_rotates_low_qubits_per_chunk(monkeypatch):
+    # above 14 qubits the ideal mixer rotates qubits 0..13 on each of the
+    # 2^(L-14) chunks, then the rest on the whole state
+    counts = spy_on(monkeypatch, "apply_rx", "apply_diagonal_phase")
+    size, depth = 16, 2
+    spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth,
+                          instance=ising.make_disordered(size, 0))
+    anz.prepare_state(spec, np.full(spec.n_params, 0.3))
+    assert counts == {"apply_diagonal_phase": depth, "apply_rx": depth * (4 * 14 + 2)}
+
+
 def test_noisy_preparation_routes_through_channel(monkeypatch):
     counts = spy_on(monkeypatch, "apply_ry", "apply_cnot", "apply_rzz", "apply_rz", "apply_rx",
                     "apply_diagonal_phase", "relax")
@@ -190,22 +201,25 @@ def reference_state(spec, theta, noise=None, rng=None):
 def test_plan_matches_gate_by_gate_reference_bitwise(family, t1_t2):
     # the strong noise settings make decay branches fire
     noise = sim.NoiseModel(*t1_t2) if t1_t2 else None
-    for size in (2, 3, 5, 8):
-        for depth in (1, 2, 3):
-            for seed in range(3):
-                inst = ising.make_disordered(size, seed)
-                spec = anz.AnsatzSpec(family, size, depth,
-                                      instance=inst if family == anz.FAMILY_QAOA else None)
-                theta = anz.init_random(spec, np.random.default_rng(seed))
-                plan_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = anz.prepare_state(spec, theta, noise, plan_rng).amplitudes
-                want = reference_state(spec, theta, noise, ref_rng).amplitudes
-                if family == anz.FAMILY_VQE:
-                    assert got.dtype == np.float64
-                    assert np.array_equal(got, want.real) and not want.imag.any()
-                else:
-                    assert np.array_equal(got, want)
-                assert plan_rng.random() == ref_rng.random()  # the same draws were made
+    cases = [(size, depth, seed) for size in (2, 3, 5, 8) for depth in (1, 2, 3)
+             for seed in range(3)]
+    if family == anz.FAMILY_QAOA and noise is None:
+        # above 14 qubits the ideal mixer runs chunk by chunk
+        cases += [(16, depth, seed) for depth in (1, 2) for seed in range(2)]
+    for size, depth, seed in cases:
+        inst = ising.make_disordered(size, seed)
+        spec = anz.AnsatzSpec(family, size, depth,
+                              instance=inst if family == anz.FAMILY_QAOA else None)
+        theta = anz.init_random(spec, np.random.default_rng(seed))
+        plan_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = anz.prepare_state(spec, theta, noise, plan_rng).amplitudes
+        want = reference_state(spec, theta, noise, ref_rng).amplitudes
+        if family == anz.FAMILY_VQE:
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want.real) and not want.imag.any()
+        else:
+            assert np.array_equal(got, want)
+        assert plan_rng.random() == ref_rng.random()  # the same draws were made
 
 
 def test_full_qaoa_gate_level_agreement():

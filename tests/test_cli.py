@@ -287,10 +287,17 @@ _BAD_INPUTS = [
      ["depth-sweep", "--depths", "1", "--sizes=", "--out", "o"], {}, 1),
     ("depth sweep with no depths", {},
      ["depth-sweep", "--depths=", "--sizes", "4", "--out", "o"], {}, 1),
+    ("linear init for vqe", {},
+     ["run", "--family", "vqe", "--init", "linear", "--instance", "inst.json", "--shots", "4",
+      "--iters", "2", "--out", "t.jsonl"], {}, 1),
     ("init field its mode does not use",
      {"spec.json": _bad_sweep_spec(init={"mode": "linear", "low": 0.0, "high": 0.1})},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
 ]
+
+
+# the stderr line of these cases must name the rule that was broken
+_BAD_INPUT_MESSAGES = {"linear init for vqe": "the linear schedule only applies to qaoa"}
 
 
 @pytest.mark.parametrize("case, files, argv, env, code", _BAD_INPUTS,
@@ -309,3 +316,4 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, 
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert _BAD_INPUT_MESSAGES.get(case, "") in proc.stderr

@@ -116,6 +116,15 @@ def test_energy_table_consistency():
         assert table[x] == pytest.approx(ising.energy(inst, int(x)))
 
 
+@pytest.mark.parametrize("size", [12, 16])
+def test_energy_table_independent_of_chunk(monkeypatch, size):
+    want = ising.energy_table(ising.make_disordered(size, 3))
+    for chunk in (1 << 4, 1 << 10, 1 << size):
+        monkeypatch.setattr(ising, "_TABLE_CHUNK", chunk)
+        got = ising.energy_table(ising.make_disordered(size, 3))  # a fresh, uncached instance
+        assert got.tobytes() == want.tobytes(), chunk
+
+
 def test_global_spin_flip_symmetry_without_fields():
     rng = np.random.default_rng(2)
     for size in range(2, 13):

@@ -14,6 +14,7 @@ from oracles import (
     dense_ry,
     dense_rz,
     dense_rzz,
+    index_rzz,
     kron_on,
 )
 
@@ -177,6 +178,33 @@ def test_norm_preserved_under_random_gate_strings():
                     q2 = (q + 1) % size
                 sim.apply_rzz(st, q, q2, theta)
         assert abs(st.norm_squared() - 1.0) < 1e-9
+
+
+def test_rzz_matches_index_formula_bitwise():
+    rng = np.random.default_rng(12)
+    for size in range(2, 11):
+        for qubit_a in range(size):
+            for qubit_b in range(size):
+                if qubit_a == qubit_b:
+                    continue
+                for theta in (0.37, -0.37, 2.6, -2.6):
+                    st = random_state(size, rng)
+                    want = st.amplitudes.copy()
+                    index_rzz(want, qubit_a, qubit_b, theta)
+                    sim.apply_rzz(st, qubit_a, qubit_b, theta)
+                    assert np.array_equal(st.amplitudes, want), (size, qubit_a, qubit_b, theta)
+
+
+def test_diagonal_phase_matches_one_exp_bitwise():
+    rng = np.random.default_rng(13)
+    for size in (3, 10, 16):
+        table = ising.energy_table(ising.make_disordered(size, 4))
+        for gamma in (0.3, -1.7):
+            st = random_state(size, rng)
+            want = st.amplitudes.copy()
+            want *= np.exp(1j * gamma * table)
+            sim.apply_diagonal_phase(st, table, gamma)
+            assert np.array_equal(st.amplitudes, want)
 
 
 def test_gate_inverse_returns_original():
