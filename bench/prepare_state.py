@@ -3,9 +3,16 @@ written to BENCH_prepare_state.json.
 
 ``prepare_state`` rows: family {vqe, qaoa} x {ideal, noisy} x L in
 {6, 8, 10, 12} at depth 2, plus ideal QAOA at L in {16, 18, 20}, depth 8
-(the states of the large-L depth sweep, 1-16 MB).  ``energy_table`` rows:
-one fresh table per call at L in {12, 16, 18, 20}, in milliseconds, with
-the tracemalloc peak of one build in MB (the 8 B/entry table included).
+(the states of the large-L depth sweep, 1-16 MB).  ``prepare_batch``
+rows: the same families, noise and sizes at depth 2 with P in {1, 5, 31,
+2 n_par} points, in microseconds per state: one ``prepare_state`` call on
+the (P, n_par) batch where the tree prepares batches, P calls otherwise.
+``ry_layer`` rows: the first RY layer of an ideal RY-CNOT state at L in
+{6, 8, 10, 12}, built by ``simulator.init_ry_product`` where the tree has
+it and by L ``apply_ry`` calls on |0...0> otherwise.  ``energy_table``
+rows: one fresh table per call at L in {12, 16, 18, 20}, in milliseconds,
+with the tracemalloc peak of one build in MB (the 8 B/entry table
+included).
 
 Each timed row is the median over REPEATS batches of the time per call;
 a batch times enough calls to last about BATCH_MS milliseconds, and at
@@ -48,6 +55,7 @@ DEPTH = 2
 LARGE_SIZES = (16, 18, 20)
 LARGE_DEPTH = 8
 TABLE_SIZES = (12, 16, 18, 20)
+BATCH_POINTS = (1, 5, 31, None)  # None: the 2 n_par points of a gradient round
 REPEATS = 15
 BATCH_MS = 40.0
 MIN_BATCH = 3
@@ -63,13 +71,23 @@ def load_tree(src: Path, name: str):
     return module
 
 
-def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int):
+def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int, points=None):
     """A zero-argument callable that runs one call of the given row."""
     anz = import_module(f"{vq.__name__}.ansatz")
     ising = import_module(f"{vq.__name__}.ising")
     sim = import_module(f"{vq.__name__}.simulator")
     if layer == "energy_table":
         return lambda: ising.energy_table(ising.make_disordered(size, 0))
+    if layer == "ry_layer":
+        angles = np.random.default_rng(size).uniform(-np.pi, np.pi, size)
+        if hasattr(sim, "init_ry_product"):
+            return lambda: sim.init_ry_product(size, angles)
+
+        def gates():
+            state = sim.init_zero(size, dtype=float)
+            for j in range(size):
+                sim.apply_ry(state, j, angles[j])
+        return gates
     if family == "vqe":
         spec = anz.AnsatzSpec(anz.FAMILY_VQE, size, depth)
     else:
@@ -79,7 +97,21 @@ def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int):
     theta = anz.init_random(spec, np.random.default_rng(size))
     noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0) if noisy else None
     rng = np.random.default_rng(7)
-    return lambda: anz.prepare_state(spec, theta, noise=noise, rng=rng)
+    if layer == "prepare_state":
+        return lambda: anz.prepare_state(spec, theta, noise=noise, rng=rng)
+    batch = np.stack([anz.init_random(spec, np.random.default_rng([size, r]))
+                      for r in range(batch_points(spec.n_params, points))])
+    if "draws" in anz.Plan._fields:  # the tree prepares a batch in one call
+        return lambda: anz.prepare_state(spec, batch, noise=noise, rng=rng)
+
+    def one_by_one():
+        for theta in batch:
+            anz.prepare_state(spec, theta, noise=noise, rng=rng)
+    return one_by_one
+
+
+def batch_points(n_params: int, points) -> int:
+    return 2 * n_params if points is None else points
 
 
 def time_batch(call, n: int) -> float:
@@ -112,6 +144,9 @@ def main(argv: list[str] | None = None) -> None:
     rows = [("prepare_state", family, noisy, size, DEPTH) for family in ("vqe", "qaoa")
             for noisy in (False, True) for size in SIZES]
     rows += [("prepare_state", "qaoa", False, size, LARGE_DEPTH) for size in LARGE_SIZES]
+    rows += [("prepare_batch", family, noisy, size, DEPTH, points) for family in ("vqe", "qaoa")
+             for noisy in (False, True) for size in SIZES for points in BATCH_POINTS]
+    rows += [("ry_layer", "vqe", False, size, None) for size in SIZES]
     rows += [("energy_table", None, False, size, None) for size in TABLE_SIZES]
     cases = {(row, label): make_case(vq, *row) for row in rows for label, vq in trees.items()}
 
@@ -132,13 +167,19 @@ def main(argv: list[str] | None = None) -> None:
 
     out = []
     for row in rows:
-        layer, family, noisy, size, depth = row
+        layer, family, noisy, size, depth, *points = row
         if layer == "energy_table":
             entry, unit, scale = {"layer": layer, "L": size}, "ms", 1e-3
+        elif layer == "ry_layer":
+            entry, unit, scale = {"layer": layer, "family": family, "L": size}, "us", 1.0
         else:
             entry = {"layer": layer, "family": family, "noise": "noisy" if noisy else "ideal",
                      "L": size, "d": depth}
             unit, scale = "us", 1.0
+            if layer == "prepare_batch":  # per state
+                n_params = size * (depth + 1) if family == "vqe" else 2 * depth
+                entry["P"] = batch_points(n_params, points[0])
+                unit, scale = "us_per_state", 1.0 / entry["P"]
         entry["calls_per_batch"] = batch[row]
         for label in trees:
             runs = [sample * scale for sample in samples[row, label]]
@@ -155,7 +196,8 @@ def main(argv: list[str] | None = None) -> None:
 
     record = {
         "topic": "prepare_state",
-        "what": "per call: microseconds of vqopt.ansatz.prepare_state and milliseconds of "
+        "what": "per call: microseconds of vqopt.ansatz.prepare_state (per state for a "
+                "batch of P points) and of the first ideal RY layer, milliseconds of "
                 "vqopt.ising.energy_table (with its tracemalloc peak), median of interleaved "
                 "batches",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,

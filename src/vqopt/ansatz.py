@@ -20,10 +20,13 @@ noisy path so that every physical gate passes through the noise channel.
 
 :func:`compile_plan` turns a spec and an optional noise model into a
 :class:`Plan`, a flat list of steps, once per pair (the plans are cached
-on the spec), and :func:`prepare_state` runs the steps in one loop.  A
-noisy plan follows every gate with one relaxation step per touched qubit.
-RY-CNOT plans work on a float64 state, and an ideal plan applies each
-CNOT ladder as one precomputed permutation of the amplitudes.  An ideal
+on the spec), and :func:`prepare_state` runs the steps in one loop, on
+one state or on a batch of P states with a parameter vector per row.  A
+noisy plan follows every gate with one relaxation step per touched qubit,
+and knows how many uniforms a state's relaxations take, so they can be
+drawn before it runs.  RY-CNOT plans work on a float64 state; an ideal
+plan starts from its first RY layer built as a product state and applies
+each CNOT ladder as one precomputed permutation of the amplitudes.  An ideal
 QAOA mixer is one cache-blocked step: it rotates qubits 0..B-1 on each
 contiguous chunk of 2^B amplitudes (B = 14, a 256 KB chunk that stays
 in a 1 MB L2 cache) before the qubits from B up on the whole state, so
@@ -97,7 +100,7 @@ class AnsatzSpec:
 
 def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.n_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params or not theta.size:
         raise DomainError(
             f"expected {spec.n_params} parameters for {spec.family}, "
             f"got shape {theta.shape}"
@@ -106,67 +109,94 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
 
 
 class Plan(NamedTuple):
-    """A circuit compiled for one noise model: ``start(L)`` makes the initial
-    state, and each step, called as ``step(state, theta, rng)``, acts on it
-    in order."""
+    """A circuit compiled for one noise model.  ``start(angles)`` makes the
+    initial state and each step, called as ``step(state, angles, draws)``,
+    acts on it in order.  ``angles[i]`` is parameter i, a float for one state
+    or a column of P values for a batch; ``draws[i]`` is likewise uniform i
+    of the ``draws`` that one state's relaxations take."""
 
-    start: Callable[[int], StateVector]
+    start: Callable[[np.ndarray], StateVector]
     steps: tuple[Callable, ...]
+    draws: int
 
 
 # The ideal mixer's chunk: 2^14 complex amplitudes (256 KB) fit a 1 MB L2
 # cache; measured against 2^12-2^16 at L 16-20.
 _BLOCK_QUBITS = 14
 
-# Step kernels: the plan binds the leading arguments, the loop passes
-# (state, theta, rng).  Gates are looked up on the simulator at call time,
-# so a wrapper installed there (a tracer, a test's spy) sees every call,
-# save the CNOTs of an ideal ladder, which run as one gather.
+# Start and step kernels: the plan binds the leading arguments, the loop
+# passes the rest.  Gates are looked up on the simulator at call time, so a
+# wrapper installed there (a tracer, a test's spy) sees every call, save
+# the CNOTs of an ideal ladder, which run as one gather, and the first RY
+# layer of an ideal RY-CNOT plan, which is built as a product.
 
 
-def _ry(qubit, index, state, theta, rng):
-    sim.apply_ry(state, qubit, theta[index])
+def _rows(angles):
+    return None if angles.ndim == 1 else angles.shape[1]
 
 
-def _mixer(qubit, index, state, theta, rng):
+def _zero_start(size, angles):
+    return sim.init_zero(size, float, _rows(angles))
+
+
+def _plus_start(size, angles):
+    return sim.init_plus(size, _rows(angles))
+
+
+def _product_start(size, angles):
+    return sim.init_ry_product(size, angles[:size])
+
+
+def _ry(qubit, index, state, angles, draws):
+    sim.apply_ry(state, qubit, angles[index])
+
+
+def _mixer(qubit, index, state, angles, draws):
     # exp(i beta X_j) = rx(2 beta) under the rx sign convention
-    sim.apply_rx(state, qubit, 2.0 * theta[index])
+    sim.apply_rx(state, qubit, 2.0 * angles[index])
 
 
-def _mixer_layer(size, index, state, theta, rng):
-    # the ideal mixer, cache-blocked: the low qubits chunk by chunk, then the rest
-    angle = 2.0 * theta[index]
-    low = min(size, _BLOCK_QUBITS)
-    for chunk in state.amplitudes.reshape(-1, 1 << low):
-        block = StateVector(low, chunk)
-        for j in range(low):
-            sim.apply_rx(block, j, angle)
-    for j in range(low, size):
-        sim.apply_rx(state, j, angle)
+def _mixer_layer(size, index, state, angles, draws):
+    # the ideal mixer, cache-blocked: the low qubits chunk by chunk, then the
+    # rest; up to B qubits a row is one chunk, so a batch rotates as a whole
+    angle = 2.0 * angles[index]
+    if size <= _BLOCK_QUBITS:
+        for j in range(size):
+            sim.apply_rx(state, j, angle)
+        return
+    for row, row_angle in zip(state.amplitudes.reshape(-1, 1 << size), np.ravel(angle)):
+        for chunk in row.reshape(-1, 1 << _BLOCK_QUBITS):
+            block = StateVector(_BLOCK_QUBITS, chunk)
+            for j in range(_BLOCK_QUBITS):
+                sim.apply_rx(block, j, row_angle)
+        whole = StateVector(size, row)
+        for j in range(_BLOCK_QUBITS, size):
+            sim.apply_rx(whole, j, row_angle)
 
 
-def _phase(table, index, state, theta, rng):
-    sim.apply_diagonal_phase(state, table, -theta[index])
+def _phase(table, index, state, angles, draws):
+    sim.apply_diagonal_phase(state, table, -angles[index])
 
 
-def _rzz(qubit, scale, index, state, theta, rng):
-    sim.apply_rzz(state, qubit, qubit + 1, scale * theta[index])
+def _rzz(qubit, scale, index, state, angles, draws):
+    sim.apply_rzz(state, qubit, qubit + 1, scale * angles[index])
 
 
-def _rz(qubit, scale, index, state, theta, rng):
-    sim.apply_rz(state, qubit, scale * theta[index])
+def _rz(qubit, scale, index, state, angles, draws):
+    sim.apply_rz(state, qubit, scale * angles[index])
 
 
-def _cnot(control, state, theta, rng):
+def _cnot(control, state, angles, draws):
     sim.apply_cnot(state, control, control + 1)
 
 
-def _permute(perm, state, theta, rng):
-    state.amplitudes = state.amplitudes[perm]
+def _permute(perm, state, angles, draws):
+    # np.take keeps a batch C-ordered, where amplitudes[..., perm] would not
+    state.amplitudes = np.take(state.amplitudes, perm, axis=-1)
 
 
-def _relax(qubit, channel, state, theta, rng):
-    sim.relax(state, qubit, channel, rng)
+def _relax(qubit, channel, part, state, angles, draws):
+    sim.relax(state, qubit, channel, draws[part])
 
 
 @functools.cache
@@ -190,17 +220,23 @@ def compile_plan(spec: AnsatzSpec, noise: NoiseModel | None = None) -> Plan:
 def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
     size, depth = spec.size, spec.depth
     steps: list[Callable] = []
+    draws = 0  # uniforms taken so far by one state's relaxations
 
     def gate(name: str, qubits: tuple[int, ...], kernel, *args) -> None:
+        nonlocal draws
         steps.append(functools.partial(kernel, *args))
         if noise is not None:
             channel = noise.channel(sim.gate_duration_ns(GateOp(name, qubits), noise))
-            steps.extend(functools.partial(_relax, q, channel) for q in qubits)
+            taken = sim.channel_draws(channel)
+            for q in qubits:
+                steps.append(functools.partial(_relax, q, channel, slice(draws, draws + taken)))
+                draws += taken
 
     if spec.family == FAMILY_VQE:
         for layer in range(depth + 1):
-            for j in range(size):
-                gate("ry", (j,), _ry, j, layer * size + j)
+            if layer or noise is not None:  # an ideal plan starts past its first layer
+                for j in range(size):
+                    gate("ry", (j,), _ry, j, layer * size + j)
             if layer == depth:
                 break
             if noise is None:
@@ -208,7 +244,8 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
             else:
                 for j in range(size - 1):
                     gate("cnot", (j, j + 1), _cnot, j)
-        return Plan(functools.partial(sim.init_zero, dtype=float), tuple(steps))
+        start = _product_start if noise is None else _zero_start
+        return Plan(functools.partial(start, size), tuple(steps), draws)
 
     # The noisy phase is the RZZ/RZ decomposition of exp(-i gamma H_P), exact
     # since all terms commute: H_P = -sum J_j Z_j Z_{j+1} - sum h_j Z_j in qubit
@@ -229,28 +266,50 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
         else:
             for j in range(size):
                 gate("rx", (j,), _mixer, j, beta)
-    return Plan(sim.init_plus, tuple(steps))
+    return Plan(functools.partial(_plus_start, size), tuple(steps), draws)
 
 
 def prepare_state(
     spec: AnsatzSpec,
     theta: np.ndarray,
     noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | np.ndarray | None = None,
 ) -> StateVector:
     """Run the circuit and return the prepared state.
 
-    With a noise model, every gate is followed by one sampled relaxation
-    trajectory on the qubits it touches (initial-state preparation itself
-    is noiseless).
+    ``theta`` is one parameter vector, or a (P, n_params) batch whose
+    states come back as the rows of a (P, 2^L) array, each with the bits it
+    gets on its own.  With a noise model, every gate is followed by one
+    sampled relaxation trajectory on the qubits it touches (initial-state
+    preparation itself is noiseless).  The trajectories take
+    ``compile_plan(spec, noise).draws`` uniforms per state: ``rng`` is the
+    generator to draw them from, row after row, or the uniforms already
+    drawn, shaped ``theta.shape[:-1] + (draws,)``.
     """
     theta = _check_params(spec, theta)
-    if noise is not None and rng is None:
-        raise DomainError("noisy preparation needs an rng")
     plan = compile_plan(spec, noise)
-    state = plan.start(spec.size)
+    draws = None
+    if noise is not None:
+        if rng is None:
+            raise DomainError("noisy preparation needs an rng")
+        shape = theta.shape[:-1] + (plan.draws,)
+        if isinstance(rng, np.random.Generator):
+            draws = rng.random(shape)
+        else:
+            draws = np.asarray(rng, dtype=float)
+            if draws.shape != shape:
+                raise DomainError(f"need uniforms of shape {shape}, got {draws.shape}")
+    one_row = theta.ndim == 2 and len(theta) == 1  # a batch of one runs as one state
+    if one_row:
+        theta, draws = theta[0], None if draws is None else draws[0]
+    angles = theta.T  # angles[i] is parameter i, a float or one value per row
+    if draws is not None:
+        draws = draws.T
+    state = plan.start(angles)
     for step in plan.steps:
-        step(state, theta, rng)
+        step(state, angles, draws)
+    if one_row:
+        state.amplitudes = state.amplitudes[None]
     return state
 
 

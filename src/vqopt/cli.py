@@ -120,6 +120,8 @@ def _cmd_run(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be >= 1")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     problem, config, kind, noise = exp.sweep_spec_from_json(read_json(args.spec))
     grid = exp.grid_from_json(read_json(args.grid))
     sweep = exp.success_sweep(
@@ -136,8 +138,11 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_fit(args) -> int:
     in_dir = Path(getattr(args, "in"))
+    paths = sorted(in_dir.glob("sweep_*.json"))
+    if not paths:
+        raise DomainError(f"no sweep_*.json files in {in_dir}")
     points = []
-    for path in sorted(in_dir.glob("sweep_*.json")):
+    for path in paths:
         sweep = exp.load_result(path)
         best = exp.optimal_calls(sweep, args.target)
         if best.reached:

@@ -1,7 +1,12 @@
 """Shot-based cost estimation, CVaR aggregation, and the gradient rules' points.
 
-A circuit evaluation (``sample``) draws M bitstrings from the prepared
-state and scores them against the instance's energy table; ``cost``
+A circuit evaluation draws M bitstrings from the prepared state and
+scores them against the instance's energy table.  ``sample_round``
+evaluates the points of one optimizer round together: it draws the
+round's uniforms with one generator call, in the order the points would
+draw them one by one (each point's relaxation draws, then its M shot
+draws), prepares the points as batches of states and samples each row,
+so its sample sets are those of ``sample`` called point by point.  ``cost``
 aggregates them with the CVaR rule (average of the lowest alpha-fraction),
 whose alpha = 1 case is the plain mean.  Both gradient rules measure the
 2 * n_par ``shifted_points`` and combine their values with
@@ -21,10 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator as sim
-from .ansatz import AnsatzSpec, prepare_state
+from .ansatz import FAMILY_VQE, AnsatzSpec, compile_plan, prepare_state
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
-from .simulator import NoiseModel
+from .simulator import NoiseModel, StateVector
+
+# A round's states are prepared in batches of at most 128 KB of amplitudes;
+# where fewer than _MIN_BATCH states fit, or are left, they go one by one.
+# Measured per state at L 6-12, P 1-64 (see CHANGES.md): batches of 2-3
+# states cost more than single ones, and so do complex batches at L = 12.
+_BATCH_BYTES = 1 << 17
+_MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,44 @@ def cost(samples: SampleSet, kind: CostKind) -> float:
     return cvar_cost(samples, kind.alpha)
 
 
+def sample_round(
+    spec: AnsatzSpec,
+    points: np.ndarray,
+    table: np.ndarray,
+    shots: int,
+    noise: NoiseModel | None,
+    rng: np.random.Generator,
+) -> list[SampleSet]:
+    """Prepare the state at each row of ``points`` and draw ``shots`` scored
+    measurements from each; one sample set per point, in order."""
+    if shots < 1:
+        raise DomainError(f"need at least one shot, got {shots}")
+    points = np.asarray(points, dtype=float)
+    draws = compile_plan(spec, noise).draws
+    # rng.random(n) returns the doubles of n scalar draws, so this is the
+    # stream of sampling the points one after another
+    uniforms = rng.random((len(points), draws + shots))
+    state_bytes = (8 if spec.family == FAMILY_VQE else 16) << spec.size
+    sets = []
+    for batch in _batches(len(points), _BATCH_BYTES // state_bytes):
+        states = prepare_state(spec, points[batch], noise, uniforms[batch, :draws])
+        for amplitudes, shot_uniforms in zip(states.amplitudes, uniforms[batch, draws:]):
+            bitstrings = sim.sample_shots(StateVector(spec.size, amplitudes), shot_uniforms)
+            sets.append(SampleSet(bitstrings=bitstrings, energies=table[bitstrings]))
+    return sets
+
+
+def _batches(count: int, rows: int):
+    """Slices of up to ``rows`` of ``count`` points; fewer than _MIN_BATCH go one by one."""
+    lo = 0
+    while lo < count:
+        hi = min(lo + rows, count)
+        if hi - lo < _MIN_BATCH:
+            hi = lo + 1
+        yield slice(lo, hi)
+        lo = hi
+
+
 def sample(
     spec: AnsatzSpec,
     theta: np.ndarray,
@@ -97,9 +147,7 @@ def sample(
     rng: np.random.Generator,
 ) -> SampleSet:
     """Prepare the state at ``theta`` and draw ``shots`` scored measurements."""
-    state = prepare_state(spec, theta, noise=noise, rng=rng)
-    bitstrings = sim.sample_shots(state, shots, rng)
-    return SampleSet(bitstrings=bitstrings, energies=table[bitstrings])
+    return sample_round(spec, np.asarray(theta, dtype=float)[None], table, shots, noise, rng)[0]
 
 
 def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> float:

@@ -359,6 +359,8 @@ def success_sweep(
         raise DomainError("empty grid")
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if any(iters < 0 for _, iters in grid):
         raise DomainError(f"n_iter must be >= 0, got grid {grid}")
     instances = problem.instances()

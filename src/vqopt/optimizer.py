@@ -1,20 +1,25 @@
 """Classical outer loops driving the shot-based cost estimates.
 
 Every optimizer is a generator of *rounds*, in the ask-and-tell shape of
-CMA-ES and Nevergrad: it yields the parameter vectors it wants measured
-and is sent back their values.  A round is one point for the energy-based
+CMA-ES and Nevergrad: it yields the parameter vectors it wants measured,
+one or more points as the rows of a (P, n_par) array, and is sent back
+their values in order.  A round is one point for the energy-based
+``hill_climb_rounds`` (``HillClimbConfig``) and for every step of
 ``trust_region_rounds`` (``TrustRegionConfig``, a COBYLA-flavored linear
-model) and ``hill_climb_rounds`` (``HillClimbConfig``); for
+model), whose first round is its whole starting simplex; for
 ``gradient_descent_rounds`` (``GradientDescentConfig``) it is the 2 * n_par
 parameter-shift or finite-difference points of one step.
 
-``run`` is the one loop that measures rounds: it samples every point and
-folds every sample set into the run's ``MinimumTracker``, the one shot
-counter, whose count each trace row records as ``n_calls``.  One-point
-rounds are scored with the run's cost kind; gradient rounds with the mean,
-and their row carries the mean energy of all the round's shots.  A run
-with ``n_iter = 0`` performs a single M-shot measurement of theta0 and no
-optimization, which is the smallest run that can still observe success.
+``run`` is the one loop that measures rounds: it samples the points of a
+round together (``estimator.sample_round``) and folds every sample set
+into the run's ``MinimumTracker``, the one shot counter, whose count each
+trace row records as ``n_calls``.  Energy-based rounds are scored with the
+run's cost kind and record one row per point, so a row is one evaluation
+however the points were grouped; a gradient round is scored with the
+mean and records one row, carrying the mean energy of all the round's
+shots.  A run with ``n_iter = 0`` performs a single M-shot measurement of
+theta0 and no optimization, which is the smallest run that can still
+observe success.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .estimator import (
     cost,
     minimizer_hits,
     sample,
+    sample_round,
     shifted_points,
 )
 from .ising import GroundTruth, IsingInstance, energy_table
@@ -166,10 +172,10 @@ def hill_climb_rounds(
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     incumbent = np.asarray(theta0, dtype=float)
-    best = yield incumbent
+    (best,) = yield incumbent[None]
     for _ in range(budget - 1):
         proposal = step_hill_climb(incumbent, step_norm, rng)
-        value = yield proposal
+        (value,) = yield proposal[None]
         if value < best:
             incumbent, best = proposal, value
     return incumbent, best
@@ -184,9 +190,9 @@ def trust_region_rounds(
 ) -> Generator:
     """Linear-model trust-region minimization of a (noisy) black box.
 
-    Asks for exactly ``budget`` evaluations, one point per round: first
-    theta0 and the n coordinate points theta0 + rho e_i that seed the
-    simplex, then one point per step.  Steps are either trust-region moves
+    Asks for exactly ``budget`` evaluations: a first round of theta0 and
+    the n coordinate points theta0 + rho e_i that seed the simplex, then
+    one point per round.  Steps are either trust-region moves
     of length rho against the interpolated gradient, geometry refreshes
     that pull the farthest vertex back to distance rho from the best point,
     or random probes when the model is flat.  rho halves whenever a move
@@ -201,13 +207,9 @@ def trust_region_rounds(
     rho = initial_radius
 
     filled = 1 + min(n, budget - 1)  # the simplex, cut short by a small budget
-    points = np.empty((filled, n))
-    values = np.empty(filled)
-    points[0], values[0] = theta0, (yield theta0)
-    for i in range(1, filled):
-        x = theta0.copy()
-        x[i - 1] += rho
-        points[i], values[i] = x, (yield x)
+    points = np.repeat(theta0[None], filled, axis=0)
+    points[np.arange(1, filled), np.arange(filled - 1)] += rho
+    values = np.array((yield points.copy()), dtype=float)
 
     for _ in range(budget - filled):
         best = int(np.argmin(values))
@@ -219,7 +221,7 @@ def trust_region_rounds(
         if dists[far] > 3.0 * rho:
             # geometry refresh: keep the simplex at the trust-region scale
             x = points[best] + rho * _random_unit(rng, n)
-            points[far], values[far] = x, (yield x)
+            points[far], (values[far],) = x, (yield x[None])
             continue
 
         mask = np.arange(filled) != best
@@ -237,14 +239,14 @@ def trust_region_rounds(
         if gnorm <= 1e-12 * max(1.0, abs(values[best])):
             # flat model, usually drowned by shot noise: probe and shrink
             x = points[best] + rho * _random_unit(rng, n)
-            f = yield x
+            (f,) = yield x[None]
             if f < values[worst]:
                 points[worst], values[worst] = x, f
             rho = max(0.5 * rho, final_radius)
             continue
 
         x = points[best] - (rho / gnorm) * grad
-        f = yield x
+        (f,) = yield x[None]
         if f < values[best]:
             points[worst], values[worst] = x, f
         else:
@@ -277,7 +279,7 @@ def gradient_descent_rounds(
 
 def _measure_once(theta0: np.ndarray) -> Generator:
     """The n_iter = 0 run: one round measuring theta0."""
-    value = yield theta0
+    (value,) = yield theta0[None]
     return theta0, value
 
 
@@ -332,21 +334,23 @@ def run(
     table = energy_table(instance)
     tracker = MinimumTracker(ground.minimizers)
     records: list[IterationRecord] = []
-    ask = next(rounds)
+    points = next(rounds)
     while True:
-        points = ask if gradient else [ask]
-        sets = [sample(spec, x, table, per_point, noise, rng) for x in points]
+        sets = sample_round(spec, points, table, per_point, noise, rng)
+        values = []
         for samples in sets:
             last_hit = tracker.observe(samples)
-        values = [cost(samples, kind) for samples in sets]
-        row_cost = values[0]
+            values.append(cost(samples, kind))
+            if not gradient:
+                records.append(IterationRecord(
+                    len(records) + 1, values[-1], tracker.f_min, tracker.shots_seen))
         if gradient:
             row_cost = float(np.mean(np.concatenate([s.energies for s in sets])))
-        records.append(
-            IterationRecord(len(records) + 1, row_cost, tracker.f_min, tracker.shots_seen)
-        )
+            records.append(
+                IterationRecord(len(records) + 1, row_cost, tracker.f_min, tracker.shots_seen)
+            )
         try:
-            ask = rounds.send(values if gradient else values[0])
+            points = rounds.send(values)
         except StopIteration as done:
             final_theta = done.value[0]
             break

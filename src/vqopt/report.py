@@ -7,8 +7,10 @@ convenience view, not the data of record.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
+from .codec import write_atomic
 from .errors import DomainError
 from .experiment import (
     DepthSweepResult,
@@ -21,10 +23,11 @@ from .svgplot import Series, line_plot
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 def report_sweep(sweep: SweepResult, out_dir: str | Path, formats=("csv", "svg")) -> list[Path]:

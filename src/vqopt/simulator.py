@@ -1,7 +1,11 @@
 """Exact statevector engine with shot sampling and trajectory-based noise.
 
 States are dense arrays of 2^L amplitudes; bit j of the array index is
-qubit j (shared bitstring convention, see :mod:`vqopt.ising`).  They are
+qubit j (shared bitstring convention, see :mod:`vqopt.ising`).  A batch
+of P states is one (P, 2^L) array, a state per row: every gate takes a
+float angle, applied to every row, or one angle per row, and
+:func:`relax` takes each row's own draws, so a row gets the bits it
+would get as a state on its own.  They are
 complex128, except that an RY-CNOT circuit on |0...0> stays real under
 its gates and both relaxation branches, so its states are float64: RY,
 CNOT and :func:`relax` accept either dtype and give a real state the
@@ -24,7 +28,10 @@ composed amplitude-damping + pure-dephasing channel for the gate's
 duration.  A single run is one trajectory; averaging trajectories
 reproduces the channel (this is not a density-matrix simulator).
 :meth:`NoiseModel.channel` computes a duration's branch probabilities
-once and :func:`relax` samples one branch from them.
+once and :func:`relax` picks one branch from them with uniforms drawn
+beforehand, as :func:`sample_shots` draws its bitstrings: a relaxation
+always takes :func:`channel_draws` uniforms, so the draws of a circuit
+are known before it runs and can be taken from the generator at once.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class StateVector:
     """Dense quantum state on ``num_qubits`` qubits."""
 
     num_qubits: int
-    amplitudes: np.ndarray  # shape (2**num_qubits,), complex128 (float64 for RY-CNOT)
+    amplitudes: np.ndarray  # (2**L,) or (P, 2**L), complex128 (float64 for RY-CNOT)
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
@@ -63,20 +70,50 @@ def _check_qubit_count(num_qubits: int) -> None:
         raise CapacityError(f"need 1..{MAX_QUBITS} qubits, got {num_qubits}")
 
 
-def init_zero(num_qubits: int, dtype=complex) -> StateVector:
-    """|0...0>, complex unless ``dtype`` says otherwise."""
+def _shape(num_qubits: int, rows: int | None) -> tuple[int, ...]:
     _check_qubit_count(num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=dtype)
-    amps[0] = 1.0
+    return (1 << num_qubits,) if rows is None else (rows, 1 << num_qubits)
+
+
+def init_zero(num_qubits: int, dtype=complex, rows: int | None = None) -> StateVector:
+    """|0...0>, complex unless ``dtype`` says otherwise; ``rows`` copies for a batch."""
+    amps = np.zeros(_shape(num_qubits, rows), dtype=dtype)
+    amps[..., 0] = 1.0
     return StateVector(num_qubits, amps)
 
 
-def init_plus(num_qubits: int) -> StateVector:
-    """Uniform superposition |+>^L."""
+def init_plus(num_qubits: int, rows: int | None = None) -> StateVector:
+    """Uniform superposition |+>^L; ``rows`` copies for a batch."""
+    shape = _shape(num_qubits, rows)
+    return StateVector(num_qubits, np.full(shape, 1.0 / math.sqrt(shape[-1]), dtype=complex))
+
+
+def init_ry_product(num_qubits: int, theta) -> StateVector:
+    """RY(theta_j) on each qubit j of |0...0>, built as a real product state.
+
+    ``theta`` holds L angles, or an (L, P) array for a batch of P states.
+    Amplitude x is f_{L-1}(x_{L-1}) * (... * (f_1(x_1) * f_0(x_0))) with
+    f_j = (cos, sin)(theta_j / 2), in the order the L gates multiply it, so
+    the bits are the gates' bits wherever the product is not zero.  Where
+    it is, a gate adds a zero that may carry the other sign, so a state
+    with a zero amplitude is made by the gates.
+    """
     _check_qubit_count(num_qubits)
-    dim = 1 << num_qubits
-    amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    return StateVector(num_qubits, amps)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or len(theta) != num_qubits:
+        raise DomainError(f"need {num_qubits} angles, got shape {theta.shape}")
+    rows = None if theta.ndim == 1 else theta.shape[1]
+    cos, sin = _cos_sin_half(theta)
+    factors = np.stack([cos, sin], axis=-1)  # (L, 2) or (L, P, 2)
+    amps = factors[0]
+    for f in factors[1:]:
+        amps = (f[..., :, None] * amps[..., None, :]).reshape(*amps.shape[:-1], -1)
+    if amps.all():
+        return StateVector(num_qubits, amps)
+    state = init_zero(num_qubits, float, rows)
+    for qubit in range(num_qubits):
+        apply_ry(state, qubit, theta[qubit])
+    return state
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -89,37 +126,78 @@ def _check_complex(state: StateVector) -> None:
         raise DomainError(f"gate needs a complex state, got {state.amplitudes.dtype}")
 
 
+def _per_row(state: StateVector, theta):
+    """A float angle as is, or one angle per row shaped (P, 1, 1) to broadcast
+    over a (P, high bits, low bits) view of the batch."""
+    if not isinstance(theta, np.ndarray) or theta.ndim == 0:
+        return theta
+    theta = theta.astype(float, copy=False)
+    if state.amplitudes.ndim != 2 or theta.shape != state.amplitudes.shape[:1]:
+        raise DomainError(f"{theta.shape} angles do not match a state of shape "
+                          f"{state.amplitudes.shape}")
+    return theta.reshape(-1, 1, 1)
+
+
+def _view(amps: np.ndarray, factor, *axes: int) -> np.ndarray:
+    """``amps`` reshaped to ``axes``, with a leading row axis when ``factor``
+    holds one value per row (a float factor sees the rows merged)."""
+    if isinstance(factor, np.ndarray):
+        return amps.reshape(len(factor), *axes)
+    return amps.reshape(axes)
+
+
+def _cos_sin_half(theta):
+    """cos and sin of theta / 2 from libm one value at a time, since numpy's
+    vector loops may round differently: floats for a float, arrays shaped
+    like an array."""
+    half = theta / 2
+    if not isinstance(half, np.ndarray):
+        return math.cos(half), math.sin(half)
+    values = half.ravel().tolist()
+    return (np.array([math.cos(v) for v in values]).reshape(half.shape),
+            np.array([math.sin(v) for v in values]).reshape(half.shape))
+
+
 def _apply_1q(state: StateVector, qubit: int, m00, m01, m10, m11) -> None:
-    # View the state as (high bits, bit q, low bits) and act on the middle axis.
-    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    lo = a[:, 0, :].copy()
-    hi = a[:, 1, :]
-    a[:, 0, :] = m00 * lo + m01 * hi
-    a[:, 1, :] = m10 * lo + m11 * hi
+    # View the state as ([rows,] high bits, bit q, low bits) and act on the
+    # bit-q axis; a factor is a float, or (P, 1, 1) with one value per row,
+    # cast to the state's dtype once (a float array would be cast per call
+    # of numpy's inner loop, through a buffer).
+    if isinstance(m00, np.ndarray):
+        dtype = state.amplitudes.dtype
+        m00, m01, m10, m11 = (m.astype(dtype, copy=False) for m in (m00, m01, m10, m11))
+    a = _view(state.amplitudes, m00, -1, 2, 1 << qubit)
+    lo = a[..., 0, :].copy()
+    hi = a[..., 1, :]
+    a[..., 0, :] = m00 * lo + m01 * hi
+    a[..., 1, :] = m10 * lo + m11 * hi
 
 
-def apply_ry(state: StateVector, qubit: int, theta: float) -> None:
+def apply_ry(state: StateVector, qubit: int, theta) -> None:
     """Rotation exp(-i theta Y / 2)."""
     _check_qubit(state, qubit)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    c, s = _cos_sin_half(_per_row(state, theta))
     _apply_1q(state, qubit, c, -s, s, c)
 
 
-def apply_rx(state: StateVector, qubit: int, theta: float) -> None:
+def apply_rx(state: StateVector, qubit: int, theta) -> None:
     """Rotation exp(+i theta X / 2)."""
     _check_qubit(state, qubit)
     _check_complex(state)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    c, s = _cos_sin_half(_per_row(state, theta))
     _apply_1q(state, qubit, c, 1j * s, 1j * s, c)
 
 
-def apply_rz(state: StateVector, qubit: int, theta: float) -> None:
+def apply_rz(state: StateVector, qubit: int, theta) -> None:
     """Rotation exp(+i theta Z / 2)."""
     _check_qubit(state, qubit)
     _check_complex(state)
-    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    a[:, 0, :] *= complex(math.cos(theta / 2), math.sin(theta / 2))
-    a[:, 1, :] *= complex(math.cos(theta / 2), -math.sin(theta / 2))
+    c, s = _cos_sin_half(_per_row(state, theta))
+    down, up = np.asarray(c, dtype=complex), np.asarray(c, dtype=complex)
+    down.imag, up.imag = s, -s  # complex(c, +-s), the signs of zeros kept
+    a = _view(state.amplitudes, c, -1, 2, 1 << qubit)
+    a[..., 0, :] *= down
+    a[..., 1, :] *= up
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> None:
@@ -141,7 +219,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
 _ZZ = np.array([[1, -1], [-1, 1]])  # Z.Z on (bit a, bit b)
 
 
-def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> None:
+def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta) -> None:
     """Two-qubit phase exp(+i theta Z.Z / 2)."""
     _check_qubit(state, qubit_a)
     _check_qubit(state, qubit_b)
@@ -149,20 +227,25 @@ def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta: float) -> N
         raise DomainError("rzz qubits must differ")
     _check_complex(state)
     high, low = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
-    # axes 1 and 3 are the two qubits; the (bit, bit) phases broadcast over
-    # the rest, with no 2^L index or phase array
-    a = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-    a *= np.exp(0.5j * theta * _ZZ)[:, None, :, None]
+    # axes 2 and 4 are the two qubits; each row's (bit, bit) phases broadcast
+    # over the rest, with no 2^L index or phase array
+    theta = _per_row(state, theta)
+    a = _view(state.amplitudes, theta, -1, 2, 1 << (high - low - 1), 2, 1 << low)
+    phases = np.exp(0.5j * theta * _ZZ)  # (2, 2), or (P, 2, 2) for a row each
+    a *= phases.reshape(phases.shape[:-2] + (1, 2, 1, 2, 1))
 
 
-def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma: float) -> None:
+def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma) -> None:
     """Multiply amplitude x by exp(i gamma f(x)) for a diagonal f."""
-    if energies.shape != state.amplitudes.shape:
+    if energies.shape != state.amplitudes.shape[-1:]:
         raise DomainError(
             f"energies shape {energies.shape} does not match state "
             f"dimension {state.amplitudes.shape}"
         )
     _check_complex(state)
+    gamma = _per_row(state, gamma)
+    if isinstance(gamma, np.ndarray):
+        gamma = gamma.reshape(-1, 1)  # a phase row per state
     phase = np.multiply(1j * gamma, energies)
     np.exp(phase, out=phase)
     state.amplitudes *= phase
@@ -175,15 +258,16 @@ def expectation_diagonal(state: StateVector, energies: np.ndarray) -> float:
     return float(state.probabilities() @ energies)
 
 
-def sample_shots(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``shots`` bitstrings from the Born distribution |psi(x)|^2."""
-    if shots < 1:
-        raise DomainError(f"need at least one shot, got {shots}")
+def sample_shots(state: StateVector, uniforms: np.ndarray) -> np.ndarray:
+    """One bitstring from the Born distribution |psi(x)|^2 per uniform draw
+    in [0, 1), by inverting the cumulative distribution."""
+    if np.size(uniforms) < 1:
+        raise DomainError("need at least one shot, got 0")
     cdf = np.cumsum(state.probabilities())
     total = cdf[-1]
     if abs(total - 1.0) > _NORM_TOL:
         raise IntegrityError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
-    return np.searchsorted(cdf, rng.random(shots) * total, side="right")
+    return np.searchsorted(cdf, uniforms * total, side="right")
 
 
 # --- hardware-style noise ---------------------------------------------------
@@ -218,6 +302,13 @@ class NoiseModel(Record):
         dephase_rate = 1.0 / self.t2_us - 0.5 / self.t1_us  # 1/T_phi
         p_flip = 0.5 * -math.expm1(-t_us * dephase_rate)
         return p_damp, p_flip, math.sqrt(1.0 - p_damp)
+
+
+def channel_draws(channel: tuple[float, float, float]) -> int:
+    """Uniforms one relaxation through ``channel`` takes: one for the decay
+    branch when p_damp > 0, then one for the flip when p_flip > 0."""
+    p_damp, p_flip, _ = channel
+    return (p_damp > 0.0) + (p_flip > 0.0)
 
 
 @dataclass(frozen=True)
@@ -259,32 +350,67 @@ def gate_duration_ns(op: GateOp, noise: NoiseModel) -> float:
 
 
 def relax(
-    state: StateVector, qubit: int, channel: tuple[float, float, float],
-    rng: np.random.Generator,
+    state: StateVector, qubit: int, channel: tuple[float, float, float], uniforms,
 ) -> None:
-    """Sample one Kraus branch of amplitude damping + pure dephasing.
+    """Pick one Kraus branch of amplitude damping + pure dephasing.
 
-    ``channel`` comes from :meth:`NoiseModel.channel`.  The scalings
-    multiply by reciprocals because numpy divides a complex array by a real
-    number that way; real and complex states then get the same bits.
+    ``channel`` comes from :meth:`NoiseModel.channel`, and ``uniforms``
+    holds its :func:`channel_draws` draws in order: a float each, or one per
+    row of a batch.  The scalings multiply by reciprocals because numpy
+    divides a complex array by a real number that way; real and complex
+    states then get the same bits.
     """
     p_damp, p_flip, keep = channel
-    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    draws = iter(uniforms)
+    amps = state.amplitudes
+    if amps.ndim == 2:
+        _relax_rows(amps, qubit, channel, draws)
+        return
+    a = amps.reshape(-1, 2, 1 << qubit)
     hi = a[:, 1, :]
     if p_damp > 0.0:
         squares = hi * hi if hi.dtype.kind == "f" else hi.real**2 + hi.imag**2
         excited = float(squares.sum())
         branch_prob = p_damp * excited
-        if rng.random() < branch_prob:
+        if next(draws) < branch_prob:
             # decay branch: |1> population drops to |0>; norm^2 was p_damp*excited
             a[:, 0, :] = hi * (1.0 / math.sqrt(excited))
             hi[...] = 0.0
         elif branch_prob > 0.0:
             # no-decay branch: norm^2 = 1 - p_damp*excited
             hi *= keep
-            state.amplitudes *= 1.0 / math.sqrt(1.0 - branch_prob)
-    if p_flip > 0.0 and rng.random() < p_flip:
+            amps *= 1.0 / math.sqrt(1.0 - branch_prob)
+    if p_flip > 0.0 and next(draws) < p_flip:
         hi *= -1.0
+
+
+def _relax_rows(amps: np.ndarray, qubit: int, channel, draws) -> None:
+    """:func:`relax` on each row of a batch, with the arithmetic of one state:
+    a row's excited population is the sum over its own contiguous squares,
+    and only the rows that take a branch's scaling are multiplied."""
+    p_damp, p_flip, keep = channel
+    a = amps.reshape(len(amps), -1, 2, 1 << qubit)
+    hi = a[:, :, 1, :]
+    if p_damp > 0.0:
+        squares = hi * hi if hi.dtype.kind == "f" else hi.real**2 + hi.imag**2
+        excited = squares.reshape(len(amps), -1).sum(axis=1)
+        branch_prob = p_damp * excited
+        decayed = next(draws) < branch_prob
+        scaled = ~decayed & (branch_prob > 0.0)  # the no-decay branch
+        norms = (1.0 / np.sqrt(1.0 - branch_prob)).astype(amps.dtype)[:, None]
+        if scaled.all():
+            hi *= keep
+            amps *= norms
+        elif scaled.any():  # (1 + 0j) * (0 - 0j) is 0 + 0j: skip the other rows
+            hi[scaled] *= keep
+            amps[scaled] *= norms[scaled]
+        for row in np.flatnonzero(decayed):
+            a[row, :, 0, :] = hi[row] * (1.0 / math.sqrt(excited[row]))
+            hi[row] = 0.0
+    if p_flip > 0.0:
+        flipped = next(draws) < p_flip
+        if flipped.any():
+            hi[flipped] *= -1.0
 
 
 def apply_noisy_gate(
@@ -294,4 +420,4 @@ def apply_noisy_gate(
     apply_gate(state, op)
     channel = noise.channel(gate_duration_ns(op, noise))
     for qubit in op.qubits:
-        relax(state, qubit, channel, rng)
+        relax(state, qubit, channel, rng.random(channel_draws(channel)))

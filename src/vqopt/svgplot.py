@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .codec import write_atomic
 from .errors import DomainError
 
 _PALETTE = [
@@ -155,4 +156,4 @@ def line_plot(
         out.append(f'<text x="{_ML + plot_w - 120}" y="{ly}">{s.label}</text>')
 
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    write_atomic(path, "\n".join(out) + "\n")

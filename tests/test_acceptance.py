@@ -353,9 +353,9 @@ def test_criterion_11_shot_accounting_audit(monkeypatch):
     drawn = {"count": 0}
     real = sim.sample_shots
 
-    def audited(state, shots, rng):
-        drawn["count"] += shots
-        return real(state, shots, rng)
+    def audited(state, uniforms):
+        drawn["count"] += len(uniforms)
+        return real(state, uniforms)
 
     monkeypatch.setattr(sim, "sample_shots", audited)
 

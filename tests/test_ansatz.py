@@ -106,8 +106,16 @@ def test_gate_budget(monkeypatch):
     counts = spy_on(monkeypatch, "apply_ry", "apply_rx", "apply_diagonal_phase")
 
     vqe, qaoa = make_specs()
+    # the first RY layer is a product state, unless it has a zero amplitude
+    anz.prepare_state(vqe, np.full(vqe.n_params, 0.3))
+    assert counts == {"apply_ry": vqe.depth * vqe.size}
+    counts.clear()
     anz.prepare_state(vqe, np.zeros(vqe.n_params))
     assert counts == {"apply_ry": (vqe.depth + 1) * vqe.size}
+    # a batch makes the calls of one state
+    counts.clear()
+    anz.prepare_state(vqe, np.full((5, vqe.n_params), 0.3))
+    assert counts == {"apply_ry": vqe.depth * vqe.size}
 
     counts.clear()
     anz.prepare_state(qaoa, np.zeros(qaoa.n_params))
@@ -220,6 +228,41 @@ def test_plan_matches_gate_by_gate_reference_bitwise(family, t1_t2):
         else:
             assert np.array_equal(got, want)
         assert plan_rng.random() == ref_rng.random()  # the same draws were made
+    if t1_t2 in (None, (1.0, 0.5)):
+        check_batches_bitwise(family, noise)
+
+
+def check_batches_bitwise(family, noise):
+    """Batches of P in {1, 3, 2 n_par} points at L 2-12: each row has the bits
+    of the single-state plan, and through it of the gate-by-gate reference,
+    and the generator ends where preparing the rows one by one leaves it."""
+    sizes = [2, 3, 4, 6, 9, 12]
+    if family == anz.FAMILY_QAOA and noise is None:
+        sizes.append(16)  # each row's mixer runs chunk by chunk
+    for size in sizes:
+        depth = 2 if size < 12 else 1
+        inst = ising.make_disordered(size, size)
+        spec = anz.AnsatzSpec(family, size, depth,
+                              instance=inst if family == anz.FAMILY_QAOA else None)
+        for rows in (1, 3, 2 * spec.n_params):
+            theta = np.stack([anz.init_random(spec, np.random.default_rng([size, rows, r]))
+                              for r in range(rows)])
+            if size % 2 == 0:
+                # zero angles: a first-layer column of +0 (an RY product with
+                # zero amplitudes, built by the gates) and a last column of -0
+                theta[:, 0], theta[:, -1] = 0.0, -0.0
+            batch_rng, row_rng = np.random.default_rng(size), np.random.default_rng(size)
+            batch = anz.prepare_state(spec, theta, noise, batch_rng).amplitudes
+            assert batch.shape == (rows, 1 << size)
+            for r in range(rows):
+                ref_rng = np.random.default_rng()  # makes the row's draws again
+                ref_rng.bit_generator.state = row_rng.bit_generator.state
+                single = anz.prepare_state(spec, theta[r], noise, row_rng).amplitudes
+                assert batch[r].tobytes() == single.tobytes()
+                if r < 3:  # the reference is slow; the first rows are enough
+                    want = reference_state(spec, theta[r], noise, ref_rng).amplitudes
+                    assert np.array_equal(single, want.real if family == anz.FAMILY_VQE else want)
+            assert batch_rng.bit_generator.state == row_rng.bit_generator.state
 
 
 def test_full_qaoa_gate_level_agreement():

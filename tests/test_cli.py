@@ -293,11 +293,26 @@ _BAD_INPUTS = [
     ("init field its mode does not use",
      {"spec.json": _bad_sweep_spec(init={"mode": "linear", "low": 0.0, "high": 0.1})},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+    ("zero threads", {"spec.json": _bad_sweep_spec()},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--threads", "0",
+      "--out", "o"], {}, 2),
+    ("negative threads", {"spec.json": _bad_sweep_spec()},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--threads=-5",
+      "--out", "o"], {}, 2),
+    ("fit over a missing directory", {}, ["fit", "--in", "nowhere", "--out", "o"], {}, 1),
+    ("fit over a directory without sweeps", {"sweeps/notes.json": {}},
+     ["fit", "--in", "sweeps", "--out", "o"], {}, 1),
 ]
 
 
 # the stderr line of these cases must name the rule that was broken
-_BAD_INPUT_MESSAGES = {"linear init for vqe": "the linear schedule only applies to qaoa"}
+_BAD_INPUT_MESSAGES = {
+    "linear init for vqe": "the linear schedule only applies to qaoa",
+    "zero threads": "--threads must be >= 1",
+    "negative threads": "--threads must be >= 1",
+    "fit over a missing directory": "no sweep_*.json files in nowhere",
+    "fit over a directory without sweeps": "no sweep_*.json files in sweeps",
+}
 
 
 @pytest.mark.parametrize("case, files, argv, env, code", _BAD_INPUTS,
@@ -306,6 +321,7 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, 
     run_cli("gen-instance", "--kind", "ferro", "--size", "4", "--out", str(tmp_path / "inst.json"))
     (tmp_path / "grid.json").write_text(json.dumps({"shots": [4], "iters": [2]}))
     for name, content in files.items():  # a string is written as is, so it may be bad JSON
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqopt import ansatz as anz, estimator as est, ising, optimizer as opt
+from vqopt import ansatz as anz, estimator as est, ising, optimizer as opt, simulator as sim
 from vqopt.errors import DomainError
 
 from oracles import richardson_gradient
@@ -98,6 +98,31 @@ def test_evaluate_single_shot_and_delta_state():
     assert value == pytest.approx(ising.energy(inst, 0))
     assert value == pytest.approx(-2.8)
     assert len(samples) == 64
+
+
+@pytest.mark.parametrize("family, size, noisy, points", [
+    (anz.FAMILY_VQE, 12, False, 9),  # batches of 4, 4 and 1
+    (anz.FAMILY_VQE, 5, True, 13),  # one batch
+    (anz.FAMILY_QAOA, 12, False, 5),  # complex states at L = 12 go one by one
+    (anz.FAMILY_QAOA, 4, True, 3),  # too few points to batch
+])
+def test_sample_round_matches_point_by_point(family, size, noisy, points):
+    # the round's sample sets and the generator state after it are those of
+    # preparing and sampling its points one after another
+    inst = ising.make_disordered(size, 1)
+    spec = anz.AnsatzSpec(family, size, 2, instance=inst if family == anz.FAMILY_QAOA else None)
+    noise = sim.NoiseModel(2.0, 3.0) if noisy else None
+    table = ising.energy_table(inst)
+    theta = np.stack([anz.init_random(spec, np.random.default_rng([size, p])) for p in range(points)])
+    round_rng, point_rng = np.random.default_rng(size), np.random.default_rng(size)
+    sets = est.sample_round(spec, theta, table, 7, noise, round_rng)
+    assert len(sets) == points
+    for x, got in zip(theta, sets):
+        state = anz.prepare_state(spec, x, noise, point_rng)
+        bitstrings = sim.sample_shots(state, point_rng.random(7))
+        assert np.array_equal(got.bitstrings, bitstrings)
+        assert np.array_equal(got.energies, table[bitstrings])
+    assert round_rng.bit_generator.state == point_rng.bit_generator.state
 
 
 def test_evaluate_uniform_state_clt():

@@ -125,6 +125,10 @@ def test_sweep_rejects_bad_arguments():
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [], 10, 0)
     with pytest.raises(DomainError):
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5)], 0, 0)
+    for threads in (0, -5):
+        with pytest.raises(DomainError):
+            exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5)], 2, 0,
+                              threads=threads)
     # a negative n_iter is rejected even where a longer cell at its M could cover it
     with pytest.raises(DomainError):
         exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(8, 5), (8, -1)], 2, 0)

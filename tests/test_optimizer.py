@@ -52,12 +52,13 @@ def test_step_gradient_descent():
 
 
 def minimize(rounds, objective):
-    """Drive a one-point-per-round generator with a callable objective, the
-    way ``opt.run`` drives it with sampled costs; returns its final value."""
+    """Drive an energy-based round generator with a callable objective, point
+    by point, the way ``opt.run`` drives it with sampled costs; returns its
+    final value."""
     try:
-        x = next(rounds)
+        points = next(rounds)
         while True:
-            x = rounds.send(float(objective(x)))
+            points = rounds.send([float(objective(x)) for x in points])
     except StopIteration as done:
         return done.value
 
@@ -225,9 +226,9 @@ def test_run_shot_audit_against_instrumented_sampler(monkeypatch):
     drawn = []  # running total of the shots drawn, after each sample_shots call
     real = sim.sample_shots
 
-    def audited(state, shots, rng):
-        drawn.append((drawn[-1] if drawn else 0) + shots)
-        return real(state, shots, rng)
+    def audited(state, uniforms):
+        drawn.append((drawn[-1] if drawn else 0) + len(uniforms))
+        return real(state, uniforms)
 
     monkeypatch.setattr(sim, "sample_shots", audited)
 
@@ -337,6 +338,7 @@ _PIN_OPTIMIZERS = {
     "hc": (anz.FAMILY_VQE, opt.HillClimbConfig(step_norm=0.4)),
     "gd-ps": (anz.FAMILY_VQE, opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=2)),
     "gd-fd": (anz.FAMILY_QAOA, opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=2)),
+    "tr-vqe": (anz.FAMILY_VQE, opt.TrustRegionConfig()),
 }
 
 _PIN_DIGESTS = {
@@ -404,6 +406,30 @@ _PIN_DIGESTS = {
     "gd-fd-9-probe-ideal-cvar25": "f78aff3e50440325b9c1a6a12b42d1900beaa77e51d43febffadce78fac63564",
     "gd-fd-9-probe-noisy-mean": "1a7c1e244fd193b7b3185be46a1efc8d01895b0638a07e22c2361f694f6921c4",
     "gd-fd-9-probe-noisy-cvar25": "cabf43f20ed5265b614f0382d5793c5ef152698e4d3b0c9f898bbccea198dcfd",
+    "tr-40-noprobe-ideal-mean": "fa95d8b600529aa48829e9101e43422b2f9b76b84a7ede5c0e7d22efe3620f5b",
+    "tr-40-noprobe-ideal-cvar25": "4156f0a4702cb3ffea41ad0cde4cbfa4be77cfc0b7329650e596bd174a928673",
+    "tr-40-noprobe-noisy-mean": "7ce052e9b3b8726ef9f8574ce0dd39862140344fc1aa9210ffcfe362e2ee0e0a",
+    "tr-40-noprobe-noisy-cvar25": "7fd033471997b4191d5c9d50574782d332b49cced058270d52ecacc88ba72cfa",
+    "tr-40-probe-ideal-mean": "a8fc66aacf44ff02cf07e01fa6e8fa85e2b8b871de32e9443fe4c488557bf671",
+    "tr-40-probe-ideal-cvar25": "b59d8f549898ff25a218b668cc3dd7ab9e0c4b4f91adbeed23567a8c13d77220",
+    "tr-40-probe-noisy-mean": "6666da91f2d4147bcdc77a76d0636554dfeb48c77c9a566dde6ac40b8b980fe7",
+    "tr-40-probe-noisy-cvar25": "6dcb6334e2492efdb4073fa47d9165ec64c284bc1082b255ac46a1322341e33d",
+    "tr-vqe-40-noprobe-ideal-mean": "69a0ed9eda401f26761111722f24a9b025e167c529a5a55042416059b89631e2",
+    "tr-vqe-40-noprobe-ideal-cvar25": "2b27833ea0864adf59d5a87ccc43f41b126643eabd9252b3656a6ee93334af9f",
+    "tr-vqe-40-noprobe-noisy-mean": "60160b625b5a5d577ce60d90ce255d24e31821a9df48736c976d1f53cdd4875c",
+    "tr-vqe-40-noprobe-noisy-cvar25": "f74e784476b86735fe2f6d769a12913701721553e5b3458a7bfc41eb7dcfbcfb",
+    "tr-vqe-40-probe-ideal-mean": "ee25f00e9dd57a902ea92023d69d5ab52c8637ee2408a3e7fc9c0ee90242fb64",
+    "tr-vqe-40-probe-ideal-cvar25": "5be57344f2ed356c70a2575e173014f1906e030b4a14bdc1c80d3a4845dfd326",
+    "tr-vqe-40-probe-noisy-mean": "ee9ad1750d8311df4ba2e766d6fc9e8dd76a5cd703fece9b083f004c838fb414",
+    "tr-vqe-40-probe-noisy-cvar25": "2f55abbcb8fed30b3a0ccf4f3cabf8c40e5b2c9f029985abbc2564b3f30bd222",
+    "hc-40-noprobe-ideal-mean": "605f72947321bfb9e2d4cb0a4026d4414cbe96632bbc4a39e14d17d43770e3d4",
+    "hc-40-noprobe-ideal-cvar25": "a385c8c55a1c48148354785958768f1ae681bb5570bb27a52e18cbd30d79fc53",
+    "hc-40-noprobe-noisy-mean": "14c963a5c18efe45e6c3264a924428974d9e12eb172cd83ec879dc9ecbf8dbe8",
+    "hc-40-noprobe-noisy-cvar25": "3620ae56b25d6a0cd1af8806171d3978de3e9f7dd7b8b177157583e9f83a6097",
+    "hc-40-probe-ideal-mean": "248d88250a671417e513059b1845549213b5db51a7d49edef23b6e8f8d69056e",
+    "hc-40-probe-ideal-cvar25": "ccc803fcf4e738ed5303372018131d5de5734eff945cf21685ec3453022c0169",
+    "hc-40-probe-noisy-mean": "2f4d1d5baeea118d159c51579cb4446545a8872cf4100acdc0814f9de6234314",
+    "hc-40-probe-noisy-cvar25": "648233cbd783d7e70ada58ab5b350f98f1a81c35b17691765cb49c46dca66079",
 }
 
 
@@ -426,8 +452,15 @@ def _pinned_trace_bytes(tmp_path, name, n_iter, probe, noisy, cost_name):
 
 _PIN_CASES = [
     (name, n_iter, probe, noisy, cost_name)
-    for name in _PIN_OPTIMIZERS
+    for name in ("tr", "hc", "gd-ps", "gd-fd")
     for n_iter in (0, 9)
+    for probe in (False, True)
+    for noisy in (False, True)
+    for cost_name in ("mean", "cvar25")
+] + [
+    # past the simplex: VQE L=4 d=1 asks 9 points first, QAOA L=4 d=2 five
+    (name, 40, probe, noisy, cost_name)
+    for name in ("tr", "tr-vqe", "hc")
     for probe in (False, True)
     for noisy in (False, True)
     for cost_name in ("mean", "cvar25")

@@ -225,22 +225,24 @@ def test_sample_shots_delta_state():
     st = sim.StateVector(3, np.zeros(8, dtype=complex))
     st.amplitudes[5] = 1.0
     rng = np.random.default_rng(0)
-    assert np.all(sim.sample_shots(st, 50, rng) == 5)
+    assert np.all(sim.sample_shots(st, rng.random(50)) == 5)
 
 
 def test_sample_shots_determinism():
     st = sim.init_plus(4)
-    a = sim.sample_shots(st, 100, np.random.default_rng(42))
-    b = sim.sample_shots(st, 100, np.random.default_rng(42))
+    a = sim.sample_shots(st, np.random.default_rng(42).random(100))
+    b = sim.sample_shots(st, np.random.default_rng(42).random(100))
     assert np.array_equal(a, b)
+    # the inverse CDF: a uniform in [k/16, (k+1)/16) lands on bitstring k
+    assert sim.sample_shots(st, (np.arange(16) + 0.5) / 16).tolist() == list(range(16))
 
 
 def test_sample_shots_unnormalized_rejected():
     st = sim.StateVector(2, np.array([1.0, 1.0, 0, 0], dtype=complex))
     with pytest.raises(IntegrityError):
-        sim.sample_shots(st, 1, np.random.default_rng(0))
+        sim.sample_shots(st, np.random.default_rng(0).random(1))
     with pytest.raises(DomainError):
-        sim.sample_shots(sim.init_plus(2), 0, np.random.default_rng(0))
+        sim.sample_shots(sim.init_plus(2), np.random.default_rng(0).random(0))
 
 
 def test_born_rule_chi_square():
@@ -248,7 +250,7 @@ def test_born_rule_chi_square():
     shots = 10**5
     for _ in range(20):
         st = random_state(5, rng)
-        draws = sim.sample_shots(st, shots, rng)
+        draws = sim.sample_shots(st, rng.random(shots))
         counts = np.bincount(draws, minlength=32)
         expected = st.probabilities() * shots
         # merge tiny-expectation bins to keep the chi-square applicable
@@ -264,7 +266,7 @@ def test_born_rule_chi_square():
 
 def test_uniform_sampling_frequencies():
     rng = np.random.default_rng(11)
-    draws = sim.sample_shots(sim.init_plus(4), 10**6, rng)
+    draws = sim.sample_shots(sim.init_plus(4), rng.random(10**6))
     freqs = np.bincount(draws, minlength=16) / 10**6
     sigma = math.sqrt((1 / 16) * (15 / 16) / 10**6)
     assert np.all(np.abs(freqs - 1 / 16) < 4 * sigma)
@@ -284,7 +286,7 @@ def test_expectation_matches_sampled_mean():
     table = ising.energy_table(inst)
     st = random_state(6, rng)
     exact = sim.expectation_diagonal(st, table)
-    draws = sim.sample_shots(st, 10**6, rng)
+    draws = sim.sample_shots(st, rng.random(10**6))
     energies = table[draws]
     stderr = energies.std() / 1000.0
     assert abs(energies.mean() - exact) < 4 * stderr
