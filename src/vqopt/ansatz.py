@@ -48,7 +48,7 @@ import numpy as np
 from . import simulator as sim
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
-from .simulator import GateOp, NoiseModel, StateVector
+from .simulator import NoiseModel, StateVector
 
 FAMILY_VQE = "vqe-ry-cnot"
 FAMILY_QAOA = "qaoa"
@@ -222,11 +222,11 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
     steps: list[Callable] = []
     draws = 0  # uniforms taken so far by one state's relaxations
 
-    def gate(name: str, qubits: tuple[int, ...], kernel, *args) -> None:
+    def gate(qubits: tuple[int, ...], kernel, *args) -> None:
         nonlocal draws
         steps.append(functools.partial(kernel, *args))
         if noise is not None:
-            channel = noise.channel(sim.gate_duration_ns(GateOp(name, qubits), noise))
+            channel = noise.channel(noise.gate_ns(len(qubits)))
             taken = sim.channel_draws(channel)
             for q in qubits:
                 steps.append(functools.partial(_relax, q, channel, slice(draws, draws + taken)))
@@ -236,14 +236,14 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
         for layer in range(depth + 1):
             if layer or noise is not None:  # an ideal plan starts past its first layer
                 for j in range(size):
-                    gate("ry", (j,), _ry, j, layer * size + j)
+                    gate((j,), _ry, j, layer * size + j)
             if layer == depth:
                 break
             if noise is None:
                 steps.append(functools.partial(_permute, _ladder_permutation(size)))
             else:
                 for j in range(size - 1):
-                    gate("cnot", (j, j + 1), _cnot, j)
+                    gate((j, j + 1), _cnot, j)
         start = _product_start if noise is None else _zero_start
         return Plan(functools.partial(start, size), tuple(steps), draws)
 
@@ -255,17 +255,15 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
     for layer in range(depth):
         gamma, beta = 2 * layer, 2 * layer + 1  # their positions in theta
         if noise is None:
-            gate("diagonal", tuple(range(size)), _phase, table, gamma)
-        else:
-            for j in range(size - 1):
-                gate("rzz", (j, j + 1), _rzz, j, 2.0 * float(instance.couplings[j]), gamma)
-            for j in range(size):
-                gate("rz", (j,), _rz, j, 2.0 * float(instance.fields[j]), gamma)
-        if noise is None:
-            steps.append(functools.partial(_mixer_layer, size, beta))
-        else:
-            for j in range(size):
-                gate("rx", (j,), _mixer, j, beta)
+            steps += [functools.partial(_phase, table, gamma),
+                      functools.partial(_mixer_layer, size, beta)]
+            continue
+        for j in range(size - 1):
+            gate((j, j + 1), _rzz, j, 2.0 * float(instance.couplings[j]), gamma)
+        for j in range(size):
+            gate((j,), _rz, j, 2.0 * float(instance.fields[j]), gamma)
+        for j in range(size):
+            gate((j,), _mixer, j, beta)
     return Plan(functools.partial(_plus_start, size), tuple(steps), draws)
 
 

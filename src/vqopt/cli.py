@@ -70,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _cmd_gen_instance(args) -> int:
+def _cmd_gen_instance(args, parser) -> int:
     kind = _KINDS[args.kind]
     (instance,) = ising.make_instances(args.size, kind, (args.seed,))
     ising.save_instance(instance, args.out)
@@ -136,7 +136,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, parser) -> int:
     in_dir = Path(getattr(args, "in"))
     paths = sorted(in_dir.glob("sweep_*.json"))
     if not paths:
@@ -157,13 +157,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_baseline(args, parser) -> int:
     prob = exp.random_search_baseline(args.size, args.g, args.calls)
     print(f"{prob:.4f}")
     return 0
 
 
-def _cmd_depth_sweep(args) -> int:
+def _cmd_depth_sweep(args, parser) -> int:
     kind = _KINDS[args.kind]
     seeds = tuple(args.instance_seeds)
     result = exp.depth_sweep(
@@ -177,7 +177,7 @@ def _cmd_depth_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, parser) -> int:
     in_path = Path(getattr(args, "in"))
     formats = tuple(args.format.split(","))
     paths = sorted(in_path.glob("*.json")) if in_path.is_dir() else [in_path]
@@ -186,6 +186,8 @@ def _cmd_report(args) -> int:
         try:
             result = exp.load_result(path)
         except VqoptError:
+            if path == in_path:  # a file named on its own must load
+                raise
             LOGGER.debug("skipping %s (not a result file)", path)
             continue
         written += rpt.report_any(result, args.out, formats)
@@ -206,12 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-instance", help="write an Ising instance JSON")
+    p.set_defaults(handler=_cmd_gen_instance)
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="one optimization run, JSON-lines trace")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("--instance", required=True)
     p.add_argument("--family", choices=["vqe", "qaoa"], default="vqe")
     p.add_argument("--depth", type=int, default=1)
@@ -235,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sweep", help="(M, n_iter) success-probability grid")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--spec", required=True, help="problem+optimizer JSON")
     p.add_argument("--grid", required=True, help='JSON {"shots": [...], "iters": [...]}')
     p.add_argument("--reps", type=int, required=True)
@@ -244,17 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="fit n_calls* = a 2^(kL) over sweep files")
+    p.set_defaults(handler=_cmd_fit)
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--lmin", type=int, default=8)
     p.add_argument("--target", type=float, default=0.25)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("baseline", help="random-search success probability")
+    p.set_defaults(handler=_cmd_baseline)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--g", type=int, default=1)
     p.add_argument("--calls", type=int, required=True)
 
     p = sub.add_parser("depth-sweep", help="linear-init F_succ over (L, d)")
+    p.set_defaults(handler=_cmd_depth_sweep)
     p.add_argument("--dt", type=float, default=0.8)
     p.add_argument("--depths", type=_int_list, required=True)
     p.add_argument("--sizes", type=_int_list, required=True)
@@ -266,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="CSV tables and SVG figures from results")
+    p.set_defaults(handler=_cmd_report)
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--format", default="csv,svg")
     p.add_argument("--out", required=True)
@@ -316,28 +325,13 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_with_config(argv))
         if args.verbose:
             logging.getLogger().setLevel(logging.DEBUG)
-        if args.command == "gen-instance":
-            return _cmd_gen_instance(args)
-        if args.command == "run":
-            return _cmd_run(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "baseline":
-            return _cmd_baseline(args)
-        if args.command == "depth-sweep":
-            return _cmd_depth_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args, parser)
     except KeyboardInterrupt:
         LOGGER.error("interrupted; no partial result files were written")
         return 130
     except (VqoptError, OSError) as exc:
         LOGGER.error("%s", exc)
         return 1
-    return 2
 
 
 def main() -> None:

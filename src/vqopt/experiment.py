@@ -24,6 +24,7 @@ instead.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -157,15 +158,27 @@ class CellResult(Record):
 
     @classmethod
     def from_json(cls, obj, where: str | None = None) -> "CellResult":
-        """Read a cell; hit_calls holds one list per instance, so it is non-empty,
-        and psucc_hits, when present, has its length, or SchemaError is raised."""
+        """Read a cell, checking what F_succ and n_calls* read from it, or raise
+        SchemaError: positive M, R and calls_per_iter, n_iter >= 0, a budget of
+        calls_per_iter per iteration (one at n_iter = 0), per instance at most R
+        sorted first hits within the budget, and psucc counts in [0, R]."""
         cell = super().from_json(obj, where)
-        if not cell.hit_calls:
-            raise SchemaError(f"{where or cls.__name__}: hit_calls must hold one list "
-                              f"per instance")
-        if cell.psucc_hits is not None and len(cell.psucc_hits) != len(cell.hit_calls):
-            raise SchemaError(f"{where or cls.__name__}: psucc_hits and hit_calls differ "
-                              f"in length")
+        reps, budget, psucc = cell.repetitions, cell.budget_calls, cell.psucc_hits
+        lows = {"shots": 1, "iters": 0, "repetitions": 1, "calls_per_iter": 1}
+        problems = [f"{name} must be >= {low}, got {getattr(cell, name)}"
+                    for name, low in lows.items() if getattr(cell, name) < low]
+        if cell.calls_per_iter * max(1, cell.iters) != budget:
+            problems.append(f"budget_calls {budget} is not calls_per_iter * max(1, iters)")
+        if not cell.hit_calls or any(hits != sorted(hits) or len(hits) > reps
+                                     or not all(1 <= h <= budget for h in hits)
+                                     for hits in cell.hit_calls):
+            problems.append(f"hit_calls must hold, per instance, at most {reps} sorted "
+                            f"counts in [1, {budget}]")
+        if psucc is not None and (len(psucc) != len(cell.hit_calls)
+                                  or not all(0 <= h <= reps for h in psucc)):
+            problems.append(f"psucc_hits must hold one count in [0, {reps}] per instance")
+        if problems:
+            raise SchemaError(f"{where or cls.__name__}: {problems[0]}")
         return cell
 
     def fsucc_per_instance(self, n_calls: int | None = None) -> list[float]:
@@ -442,54 +455,35 @@ class OptimalCalls:
 
 
 def _cell_calls_to_target(cell: CellResult, target: float) -> int | None:
-    """Smallest checkpoint at which the cell's aggregate F_succ reaches target.
+    """The first of the cell's checkpoints at which its F_succ reaches
+    ``target``, or None when none does.
 
-    Checkpoints are iteration boundaries, so shot-resolved first hits round
-    up to the end of the iteration that produced them.
+    F_succ, the median over instances of each instance's hit fraction, never
+    decreases with n_calls, so a bisection over the checkpoints finds it.
+    Checkpoints are iteration boundaries, so a first hit counts from the end
+    of the iteration that drew it.
     """
-    step = cell.calls_per_iter
-
-    def boundary(calls: int) -> int:
-        return ((calls + step - 1) // step) * step
-
-    if target == 0.0:
-        # vacuous target: met at the cell's first recorded checkpoint
-        return step
-    if len(cell.hit_calls) == 1:
-        hits = cell.hit_calls[0]
-        k = math.ceil(target * cell.repetitions)
-        if len(hits) < k:
-            return None
-        return boundary(hits[k - 1])
-    # ensemble: median across instances of per-instance step curves
-    candidates = sorted({boundary(h) for hits in cell.hit_calls for h in hits})
-    for c in candidates:
-        if cell.fsucc(c) >= target:
-            return c
-    return None
+    checkpoints = cell.checkpoints()
+    first = bisect.bisect_left(checkpoints, target, key=cell.fsucc)
+    return checkpoints[first] if first < len(checkpoints) else None
 
 
 def optimal_calls(sweep: SweepResult, target: float) -> OptimalCalls:
-    """Minimum n_calls over all grid cells reaching the target F_succ.
+    """n_calls*: the fewest calls at which some grid cell reaches the target.
 
-    Returns an explicit unreached marker when no cell ever meets the
-    target within its budget.
+    A cell reaches it at its first iteration-boundary checkpoint where its
+    F_succ (the median over instances) is at least ``target``; a tie in
+    n_calls goes to the smaller (M, n_iter).  Returns an explicit unreached
+    marker when no cell ever meets the target within its budget.
     """
     if not 0.0 <= target < 1.0:
         raise DomainError(f"target must be in [0, 1), got {target}")
-    best: tuple[int, int, int] | None = None
-    for cell in sweep.cells:
-        calls = _cell_calls_to_target(cell, target)
-        if calls is None:
-            continue
-        key = (calls, cell.shots, cell.iters)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    reached = [(calls, cell.shots, cell.iters) for cell in sweep.cells
+               if (calls := _cell_calls_to_target(cell, target)) is not None]
+    if not reached:
         return OptimalCalls(target=target, reached=False)
-    return OptimalCalls(
-        target=target, reached=True, n_calls=best[0], shots=best[1], iters=best[2]
-    )
+    n_calls, shots, iters = min(reached)
+    return OptimalCalls(target=target, reached=True, n_calls=n_calls, shots=shots, iters=iters)
 
 
 @dataclass
@@ -504,6 +498,20 @@ class ScalingFit(Record):
     target: float | None = None
     schema_version: int = field(default=SCHEMA_VERSION, init=False)
     result_type: str = field(default="fit", init=False)
+
+    @classmethod
+    def from_json(cls, obj, where: str | None = None) -> "ScalingFit":
+        """Read a fit, drawn on a log2 axis: a non-positive amplitude or n_calls*,
+        or other than one residual per point with L >= l_min, raises SchemaError."""
+        fit = super().from_json(obj, where)
+        used = sum(1 for size, _ in fit.points if size >= fit.l_min)
+        if not fit.amplitude > 0 or not all(n > 0 for _, n in fit.points):
+            raise SchemaError(f"{where or cls.__name__}: the amplitude and every n_calls* "
+                              f"in points must be positive")
+        if len(fit.residuals) != used:
+            raise SchemaError(f"{where or cls.__name__}: {len(fit.residuals)} residuals "
+                              f"for {used} points with L >= l_min")
+        return fit
 
 
 def fit_scaling(

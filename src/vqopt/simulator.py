@@ -303,6 +303,10 @@ class NoiseModel(Record):
         p_flip = 0.5 * -math.expm1(-t_us * dephase_rate)
         return p_damp, p_flip, math.sqrt(1.0 - p_damp)
 
+    def gate_ns(self, qubits: int) -> float:
+        """Duration of a gate on ``qubits`` qubits: ``t2q_ns`` for two, else ``t1q_ns``."""
+        return self.t2q_ns if qubits == 2 else self.t1q_ns
+
 
 def channel_draws(channel: tuple[float, float, float]) -> int:
     """Uniforms one relaxation through ``channel`` takes: one for the decay
@@ -341,12 +345,6 @@ def apply_gate(state: StateVector, op: GateOp) -> None:
         pass
     else:
         raise DomainError(f"unknown gate {op.name!r}")
-
-
-def gate_duration_ns(op: GateOp, noise: NoiseModel) -> float:
-    if op.duration_ns is not None:
-        return op.duration_ns
-    return noise.t2q_ns if len(op.qubits) == 2 else noise.t1q_ns
 
 
 def relax(
@@ -418,6 +416,7 @@ def apply_noisy_gate(
 ) -> None:
     """Apply ``op`` followed by one relaxation trajectory on each touched qubit."""
     apply_gate(state, op)
-    channel = noise.channel(gate_duration_ns(op, noise))
+    duration = noise.gate_ns(len(op.qubits)) if op.duration_ns is None else op.duration_ns
+    channel = noise.channel(duration)
     for qubit in op.qubits:
         relax(state, qubit, channel, rng.random(channel_draws(channel)))

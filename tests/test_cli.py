@@ -193,6 +193,16 @@ def _bad_sweep_spec(**changes):
     return spec
 
 
+def _bad_sweep_result(**cell_changes):
+    cell = {"shots": 4, "iters": 2, "repetitions": 2, "budget_calls": 8, "calls_per_iter": 4,
+            "hit_calls": [[]], "psucc_hits": None}
+    return {"schema_version": 1, "result_type": "sweep",
+            "problem": {"family": "qaoa", "size": 4, "depth": 1},
+            "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
+            "master_seed": 0, "final_probe": False, "noise": None,
+            "cells": [{**cell, **cell_changes}]}
+
+
 _RUN_NOISY = ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4",
               "--iters", "2", "--out", "t.jsonl"]
 
@@ -275,13 +285,7 @@ _BAD_INPUTS = [
                      "instance_seeds": [], "cells": [{"size": 4, "depth": 1, "p_gs": [],
                                                       "fsucc": []}]}},
      ["report", "--in", "depth.json", "--out", "r"], {}, 1),
-    ("sweep result with a cell of no instances",
-     {"sweep.json": {"schema_version": 1, "result_type": "sweep",
-                     "problem": {"family": "qaoa", "size": 4, "depth": 1},
-                     "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
-                     "master_seed": 0, "final_probe": False, "noise": None,
-                     "cells": [{"shots": 4, "iters": 2, "repetitions": 2, "budget_calls": 8,
-                                "calls_per_iter": 4, "hit_calls": [], "psucc_hits": None}]}},
+    ("sweep result with a cell of no instances", {"sweep.json": _bad_sweep_result(hit_calls=[])},
      ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
     ("depth sweep with no sizes", {},
      ["depth-sweep", "--depths", "1", "--sizes=", "--out", "o"], {}, 1),
@@ -302,6 +306,20 @@ _BAD_INPUTS = [
     ("fit over a missing directory", {}, ["fit", "--in", "nowhere", "--out", "o"], {}, 1),
     ("fit over a directory without sweeps", {"sweeps/notes.json": {}},
      ["fit", "--in", "sweeps", "--out", "o"], {}, 1),
+    ("report on a sweep cell of zero repetitions",
+     {"sweep.json": _bad_sweep_result(repetitions=0)},
+     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+    ("fit on a sweep cell of zero repetitions",
+     {"sweeps/sweep_L4.json": _bad_sweep_result(repetitions=0)},
+     ["fit", "--in", "sweeps", "--out", "o"], {}, 1),
+    ("report on a sweep cell of zero calls per iteration",
+     {"sweep.json": _bad_sweep_result(calls_per_iter=0)},
+     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+    ("report on a fit with a zero point",
+     {"fit.json": {"schema_version": 1, "result_type": "fit", "points": [[8, 0.0], [10, 4.0]],
+                   "amplitude": 1.0, "exponent": 0.5, "l_min": 8, "residuals": [0.0, 0.0],
+                   "target": 0.25}},
+     ["report", "--in", "fit.json", "--out", "r"], {}, 1),
 ]
 
 
@@ -312,6 +330,10 @@ _BAD_INPUT_MESSAGES = {
     "negative threads": "--threads must be >= 1",
     "fit over a missing directory": "no sweep_*.json files in nowhere",
     "fit over a directory without sweeps": "no sweep_*.json files in sweeps",
+    "report on a sweep cell of zero repetitions": "repetitions must be >= 1",
+    "fit on a sweep cell of zero repetitions": "repetitions must be >= 1",
+    "report on a sweep cell of zero calls per iteration": "calls_per_iter must be >= 1",
+    "report on a fit with a zero point": "every n_calls* in points must be positive",
 }
 
 

@@ -167,14 +167,32 @@ def synthetic_sweep(cells) -> exp.SweepResult:
 
 
 def test_optimal_calls_matches_geometric_closed_form():
-    size = 4
-    sweep = synthetic_sweep([geometric_quantile_cell(size, 1000, 10**5)])
-    p = 2.0**-size
-    for target in (0.25, 0.5, 0.9):
-        best = exp.optimal_calls(sweep, target)
-        expected = math.ceil(math.log(1 - target) / math.log(1 - p))
-        assert best.reached
-        assert best.n_calls == expected
+    # at L = 10, R = 100 the products 0.07 * R and 0.14 * R round to just above
+    # 7 and 14, yet 7 and 14 hits reach those targets: n_calls* is 75 and 155
+    for size, repetitions, targets in ((4, 1000, (0.25, 0.5, 0.9)), (10, 100, (0.07, 0.14))):
+        sweep = synthetic_sweep([geometric_quantile_cell(size, repetitions, 10**5)])
+        p = 2.0**-size
+        for target in targets:
+            best = exp.optimal_calls(sweep, target)
+            expected = math.ceil(math.log(1 - target) / math.log(1 - p))
+            assert best.reached
+            assert best.n_calls == expected
+
+
+def test_optimal_calls_is_the_first_checkpoint_reaching_the_target():
+    # the definition, scanned checkpoint by checkpoint, on random cells of one to
+    # four instances; R = 50 and 100 put target * R just above an integer
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        reps, iters, step = int(rng.choice([1, 7, 50, 100])), int(rng.integers(0, 30)), 3
+        budget = step * max(1, iters)
+        hit_calls = [sorted(int(h) for h in rng.integers(1, budget + 1, rng.integers(0, reps + 1)))
+                     for _ in range(rng.integers(1, 5))]
+        cell = exp.CellResult(1, iters, reps, budget, step, hit_calls, None)
+        for target in (0.0, 0.07, 0.14, 0.25, 0.5, float(rng.random())):
+            scan = next((c for c in cell.checkpoints() if cell.fsucc(c) >= target), None)
+            best = exp.optimal_calls(synthetic_sweep([cell]), target)
+            assert best.n_calls == scan and best.reached == (scan is not None)
 
 
 def test_optimal_calls_monotone_in_target():
@@ -454,6 +472,15 @@ def test_persistence_schema_errors(tmp_path):
         json.dumps({**sweep.to_json(), "cells": [{**cells[0], "hit_calls": [[8], [16]]},
                                                  *cells[1:]]}),
         json.dumps({**sweep.to_json(), "cells": [cells[0], {**cells[1], "psucc_hits": [1, 2]}]}),
+        # F_succ and n_calls* divide by R and step through the budget's checkpoints
+        *(json.dumps({**sweep.to_json(), "cells": [{**cells[0], **change}, *cells[1:]]})
+          for change in ({"repetitions": 0}, {"shots": 0}, {"iters": -1}, {"calls_per_iter": 0},
+                         {"budget_calls": cells[0]["budget_calls"] + 1},
+                         {"hit_calls": [[16, 8]]}, {"hit_calls": [[0]]},
+                         {"hit_calls": [[cells[0]["budget_calls"] + 1]]},
+                         {"hit_calls": [[8] * 6]})),
+        *(json.dumps({**sweep.to_json(), "cells": [cells[0], {**cells[1], "psucc_hits": psucc}]})
+          for psucc in ([-1], [6])),
     ]
     for text in mutations:
         path.write_text(text)
@@ -462,6 +489,14 @@ def test_persistence_schema_errors(tmp_path):
     without_cells = {k: v for k, v in sweep.to_json().items() if k != "cells"}
     with pytest.raises(SchemaError):
         exp.SweepResult.from_json(without_cells)
+
+    # a fit is drawn on a log2 axis, with one residual per point at L >= l_min
+    fit = exp.fit_scaling([(L, 2.0**L) for L in range(6, 11)], l_min=8).to_json()
+    for change in ({"points": [[L, 0.0 if L == 8 else n] for L, n in fit["points"]]},
+                   {"amplitude": 0.0}, {"residuals": fit["residuals"][1:]}):
+        path.write_text(json.dumps({**fit, **change}))
+        with pytest.raises(SchemaError):
+            exp.load_result(path)
 
     depth = exp.depth_sweep(sizes=[4], depths=[1], dt=0.8, shots=4, repetitions=2,
                             master_seed=0).to_json()
