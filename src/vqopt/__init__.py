@@ -40,6 +40,6 @@ from .optimizer import (
     step_gradient_descent,
     step_hill_climb,
 )
-from .simulator import GateOp, NoiseModel, StateVector, init_plus, init_zero, sample_shots
+from .simulator import GateOp, NoiseModel, init_plus, init_zero, sample_shots
 
 __version__ = "0.1.0"

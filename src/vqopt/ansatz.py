@@ -48,7 +48,7 @@ import numpy as np
 from . import simulator as sim
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
-from .simulator import NoiseModel, StateVector
+from .simulator import NoiseModel
 
 FAMILY_VQE = "vqe-ry-cnot"
 FAMILY_QAOA = "qaoa"
@@ -115,7 +115,7 @@ class Plan(NamedTuple):
     or a column of P values for a batch; ``draws[i]`` is likewise uniform i
     of the ``draws`` that one state's relaxations take."""
 
-    start: Callable[[np.ndarray], StateVector]
+    start: Callable[[np.ndarray], np.ndarray]
     steps: tuple[Callable, ...]
     draws: int
 
@@ -164,14 +164,12 @@ def _mixer_layer(size, index, state, angles, draws):
         for j in range(size):
             sim.apply_rx(state, j, angle)
         return
-    for row, row_angle in zip(state.amplitudes.reshape(-1, 1 << size), np.ravel(angle)):
+    for row, row_angle in zip(state.reshape(-1, 1 << size), np.ravel(angle)):
         for chunk in row.reshape(-1, 1 << _BLOCK_QUBITS):
-            block = StateVector(_BLOCK_QUBITS, chunk)
             for j in range(_BLOCK_QUBITS):
-                sim.apply_rx(block, j, row_angle)
-        whole = StateVector(size, row)
+                sim.apply_rx(chunk, j, row_angle)
         for j in range(_BLOCK_QUBITS, size):
-            sim.apply_rx(whole, j, row_angle)
+            sim.apply_rx(row, j, row_angle)
 
 
 def _phase(table, index, state, angles, draws):
@@ -191,8 +189,8 @@ def _cnot(control, state, angles, draws):
 
 
 def _permute(perm, state, angles, draws):
-    # np.take keeps a batch C-ordered, where amplitudes[..., perm] would not
-    state.amplitudes = np.take(state.amplitudes, perm, axis=-1)
+    # steps act on the state in place, so the gather is copied back into it
+    state[...] = np.take(state, perm, axis=-1)
 
 
 def _relax(qubit, channel, part, state, angles, draws):
@@ -202,11 +200,11 @@ def _relax(qubit, channel, part, state, angles, draws):
 @functools.cache
 def _ladder_permutation(size: int) -> np.ndarray:
     """Gather indices of one CNOT ladder: the ladder maps amps to amps[perm]."""
-    index = StateVector(size, np.arange(1 << size))
+    index = np.arange(1 << size)
     for j in range(size - 1):
         sim.apply_cnot(index, j, j + 1)
-    index.amplitudes.setflags(write=False)
-    return index.amplitudes
+    index.setflags(write=False)
+    return index
 
 
 def compile_plan(spec: AnsatzSpec, noise: NoiseModel | None = None) -> Plan:
@@ -272,8 +270,8 @@ def prepare_state(
     theta: np.ndarray,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | np.ndarray | None = None,
-) -> StateVector:
-    """Run the circuit and return the prepared state.
+) -> np.ndarray:
+    """Run the circuit and return the prepared state, shaped (2^L,).
 
     ``theta`` is one parameter vector, or a (P, n_params) batch whose
     states come back as the rows of a (P, 2^L) array, each with the bits it
@@ -306,9 +304,7 @@ def prepare_state(
     state = plan.start(angles)
     for step in plan.steps:
         step(state, angles, draws)
-    if one_row:
-        state.amplitudes = state.amplitudes[None]
-    return state
+    return state[None] if one_row else state
 
 
 def init_random(

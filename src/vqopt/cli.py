@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -180,17 +179,13 @@ def _cmd_depth_sweep(args, parser) -> int:
 def _cmd_report(args, parser) -> int:
     in_path = Path(getattr(args, "in"))
     formats = tuple(args.format.split(","))
-    paths = sorted(in_path.glob("*.json")) if in_path.is_dir() else [in_path]
+    scan = in_path.is_dir()  # a file named on its own must be a result
+    results = [exp.load_result(path, untyped_ok=scan)
+               for path in (sorted(in_path.glob("*.json")) if scan else [in_path])]
     written = []
-    for path in paths:
-        try:
-            result = exp.load_result(path)
-        except VqoptError:
-            if path == in_path:  # a file named on its own must load
-                raise
-            LOGGER.debug("skipping %s (not a result file)", path)
-            continue
-        written += rpt.report_any(result, args.out, formats)
+    for result in results:
+        if result is not None:
+            written += rpt.report_any(result, args.out, formats)
     if not written:
         raise VqoptError(f"no reportable results under {in_path}")
     for path in written:
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help='JSON {"shots": [...], "iters": [...]}')
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.environ.get("VQOPT_THREADS", "1"))
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--final-probe", action="store_true")
     p.add_argument("--out", required=True)
 

@@ -29,7 +29,7 @@ from . import simulator as sim
 from .ansatz import FAMILY_VQE, AnsatzSpec, compile_plan, prepare_state
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
-from .simulator import NoiseModel, StateVector
+from .simulator import NoiseModel
 
 # A round's states are prepared in batches of at most 128 KB of amplitudes;
 # where fewer than _MIN_BATCH states fit, or are left, they go one by one.
@@ -121,8 +121,8 @@ def sample_round(
     sets = []
     for batch in _batches(len(points), _BATCH_BYTES // state_bytes):
         states = prepare_state(spec, points[batch], noise, uniforms[batch, :draws])
-        for amplitudes, shot_uniforms in zip(states.amplitudes, uniforms[batch, draws:]):
-            bitstrings = sim.sample_shots(StateVector(spec.size, amplitudes), shot_uniforms)
+        for state, shot_uniforms in zip(states, uniforms[batch, draws:]):
+            bitstrings = sim.sample_shots(state, shot_uniforms)
             sets.append(SampleSet(bitstrings=bitstrings, energies=table[bitstrings]))
     return sets
 

@@ -184,10 +184,7 @@ class CellResult(Record):
     def fsucc_per_instance(self, n_calls: int | None = None) -> list[float]:
         if n_calls is None:
             n_calls = self.budget_calls
-        return [
-            sum(1 for h in hits if h <= n_calls) / self.repetitions
-            for hits in self.hit_calls
-        ]
+        return [bisect.bisect_right(hits, n_calls) / self.repetitions for hits in self.hit_calls]
 
     def fsucc(self, n_calls: int | None = None) -> float:
         per = self.fsucc_per_instance(n_calls)
@@ -633,8 +630,7 @@ def depth_sweep(
             theta = anz.init_linear_schedule(depth, dt)
             for inst_idx, instance in enumerate(instances):
                 spec = AnsatzSpec(FAMILY_QAOA, size, depth, instance=instance)
-                state = anz.prepare_state(spec, theta)
-                probs = state.probabilities()
+                probs = np.abs(anz.prepare_state(spec, theta)) ** 2
                 minimizers = np.array(grounds[inst_idx].minimizers)
                 p_gs.append(float(probs[minimizers].sum()))
                 rng = np.random.default_rng(
@@ -665,9 +661,13 @@ def save_result(result, path: str | Path) -> None:
     write_atomic(path, json.dumps(result.to_json(), sort_keys=True) + "\n")
 
 
-def load_result(path: str | Path):
-    """Read any result file; an unreadable layout raises SchemaError."""
+def load_result(path: str | Path, untyped_ok: bool = False):
+    """Read any result file; an unreadable layout raises SchemaError.  With
+    ``untyped_ok``, a JSON object with no ``result_type`` field (a spec,
+    grid, instance or config file) gives None."""
     obj = read_json(path)
+    if untyped_ok and isinstance(obj, dict) and "result_type" not in obj:
+        return None
     kind = obj.get("result_type") if isinstance(obj, dict) else None
     if kind not in _RESULT_TYPES:
         raise SchemaError(f"{path}: unknown result_type {kind!r}")

@@ -1,6 +1,6 @@
 """Exact statevector engine with shot sampling and trajectory-based noise.
 
-States are dense arrays of 2^L amplitudes; bit j of the array index is
+A state is a numpy array of its 2^L amplitudes; bit j of the index is
 qubit j (shared bitstring convention, see :mod:`vqopt.ising`).  A batch
 of P states is one (P, 2^L) array, a state per row: every gate takes a
 float angle, applied to every row, or one angle per row, and
@@ -11,10 +11,11 @@ its gates and both relaxation branches, so its states are float64: RY,
 CNOT and :func:`relax` accept either dtype and give a real state the
 same bits as its complex twin; the gates with complex factors (RX, RZ,
 RZZ, diagonal phase) reject a real state.  Gates mutate the state in
-place.  A 1-qubit gate on qubit q < k pairs amplitudes within each
-contiguous block of 2^k, so it can act on one block at a time through a
-``StateVector(k, block)`` view and give the same bits as on the whole
-state (the blocked QAOA mixer of :mod:`vqopt.ansatz` does this).
+place, and read L from the length of the last axis.  A 1-qubit gate on
+qubit q < k pairs amplitudes within each contiguous block of 2^k, so it
+can act on one block at a time through a view of its 2^k amplitudes and
+give the same bits as on the whole state (the blocked QAOA mixer of
+:mod:`vqopt.ansatz` does this).
 Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
@@ -48,23 +49,6 @@ from .ising import MAX_QUBITS
 _NORM_TOL = 1e-8
 
 
-@dataclass
-class StateVector:
-    """Dense quantum state on ``num_qubits`` qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray  # (2**L,) or (P, 2**L), complex128 (float64 for RY-CNOT)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-
 def _check_qubit_count(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"need 1..{MAX_QUBITS} qubits, got {num_qubits}")
@@ -75,20 +59,20 @@ def _shape(num_qubits: int, rows: int | None) -> tuple[int, ...]:
     return (1 << num_qubits,) if rows is None else (rows, 1 << num_qubits)
 
 
-def init_zero(num_qubits: int, dtype=complex, rows: int | None = None) -> StateVector:
+def init_zero(num_qubits: int, dtype=complex, rows: int | None = None) -> np.ndarray:
     """|0...0>, complex unless ``dtype`` says otherwise; ``rows`` copies for a batch."""
-    amps = np.zeros(_shape(num_qubits, rows), dtype=dtype)
-    amps[..., 0] = 1.0
-    return StateVector(num_qubits, amps)
+    state = np.zeros(_shape(num_qubits, rows), dtype=dtype)
+    state[..., 0] = 1.0
+    return state
 
 
-def init_plus(num_qubits: int, rows: int | None = None) -> StateVector:
+def init_plus(num_qubits: int, rows: int | None = None) -> np.ndarray:
     """Uniform superposition |+>^L; ``rows`` copies for a batch."""
     shape = _shape(num_qubits, rows)
-    return StateVector(num_qubits, np.full(shape, 1.0 / math.sqrt(shape[-1]), dtype=complex))
+    return np.full(shape, 1.0 / math.sqrt(shape[-1]), dtype=complex)
 
 
-def init_ry_product(num_qubits: int, theta) -> StateVector:
+def init_ry_product(num_qubits: int, theta) -> np.ndarray:
     """RY(theta_j) on each qubit j of |0...0>, built as a real product state.
 
     ``theta`` holds L angles, or an (L, P) array for a batch of P states.
@@ -109,32 +93,32 @@ def init_ry_product(num_qubits: int, theta) -> StateVector:
     for f in factors[1:]:
         amps = (f[..., :, None] * amps[..., None, :]).reshape(*amps.shape[:-1], -1)
     if amps.all():
-        return StateVector(num_qubits, amps)
+        return amps
     state = init_zero(num_qubits, float, rows)
     for qubit in range(num_qubits):
         apply_ry(state, qubit, theta[qubit])
     return state
 
 
-def _check_qubit(state: StateVector, qubit: int) -> None:
-    if not 0 <= qubit < state.num_qubits:
-        raise DomainError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
+def _check_qubit(state: np.ndarray, qubit: int) -> None:
+    size = state.shape[-1].bit_length() - 1
+    if not 0 <= qubit < size:
+        raise DomainError(f"qubit {qubit} out of range for {size} qubits")
 
 
-def _check_complex(state: StateVector) -> None:
-    if state.amplitudes.dtype.kind != "c":
-        raise DomainError(f"gate needs a complex state, got {state.amplitudes.dtype}")
+def _check_complex(state: np.ndarray) -> None:
+    if state.dtype.kind != "c":
+        raise DomainError(f"gate needs a complex state, got {state.dtype}")
 
 
-def _per_row(state: StateVector, theta):
+def _per_row(state: np.ndarray, theta):
     """A float angle as is, or one angle per row shaped (P, 1, 1) to broadcast
     over a (P, high bits, low bits) view of the batch."""
     if not isinstance(theta, np.ndarray) or theta.ndim == 0:
         return theta
     theta = theta.astype(float, copy=False)
-    if state.amplitudes.ndim != 2 or theta.shape != state.amplitudes.shape[:1]:
-        raise DomainError(f"{theta.shape} angles do not match a state of shape "
-                          f"{state.amplitudes.shape}")
+    if state.ndim != 2 or theta.shape != state.shape[:1]:
+        raise DomainError(f"{theta.shape} angles do not match a state of shape {state.shape}")
     return theta.reshape(-1, 1, 1)
 
 
@@ -158,29 +142,28 @@ def _cos_sin_half(theta):
             np.array([math.sin(v) for v in values]).reshape(half.shape))
 
 
-def _apply_1q(state: StateVector, qubit: int, m00, m01, m10, m11) -> None:
+def _apply_1q(state: np.ndarray, qubit: int, m00, m01, m10, m11) -> None:
     # View the state as ([rows,] high bits, bit q, low bits) and act on the
     # bit-q axis; a factor is a float, or (P, 1, 1) with one value per row,
     # cast to the state's dtype once (a float array would be cast per call
     # of numpy's inner loop, through a buffer).
     if isinstance(m00, np.ndarray):
-        dtype = state.amplitudes.dtype
-        m00, m01, m10, m11 = (m.astype(dtype, copy=False) for m in (m00, m01, m10, m11))
-    a = _view(state.amplitudes, m00, -1, 2, 1 << qubit)
+        m00, m01, m10, m11 = (m.astype(state.dtype, copy=False) for m in (m00, m01, m10, m11))
+    a = _view(state, m00, -1, 2, 1 << qubit)
     lo = a[..., 0, :].copy()
     hi = a[..., 1, :]
     a[..., 0, :] = m00 * lo + m01 * hi
     a[..., 1, :] = m10 * lo + m11 * hi
 
 
-def apply_ry(state: StateVector, qubit: int, theta) -> None:
+def apply_ry(state: np.ndarray, qubit: int, theta) -> None:
     """Rotation exp(-i theta Y / 2)."""
     _check_qubit(state, qubit)
     c, s = _cos_sin_half(_per_row(state, theta))
     _apply_1q(state, qubit, c, -s, s, c)
 
 
-def apply_rx(state: StateVector, qubit: int, theta) -> None:
+def apply_rx(state: np.ndarray, qubit: int, theta) -> None:
     """Rotation exp(+i theta X / 2)."""
     _check_qubit(state, qubit)
     _check_complex(state)
@@ -188,19 +171,19 @@ def apply_rx(state: StateVector, qubit: int, theta) -> None:
     _apply_1q(state, qubit, c, 1j * s, 1j * s, c)
 
 
-def apply_rz(state: StateVector, qubit: int, theta) -> None:
+def apply_rz(state: np.ndarray, qubit: int, theta) -> None:
     """Rotation exp(+i theta Z / 2)."""
     _check_qubit(state, qubit)
     _check_complex(state)
     c, s = _cos_sin_half(_per_row(state, theta))
     down, up = np.asarray(c, dtype=complex), np.asarray(c, dtype=complex)
     down.imag, up.imag = s, -s  # complex(c, +-s), the signs of zeros kept
-    a = _view(state.amplitudes, c, -1, 2, 1 << qubit)
+    a = _view(state, c, -1, 2, 1 << qubit)
     a[..., 0, :] *= down
     a[..., 1, :] *= up
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> None:
+def apply_cnot(state: np.ndarray, control: int, target: int) -> None:
     """Flip ``target`` where ``control`` is 1."""
     _check_qubit(state, control)
     _check_qubit(state, target)
@@ -209,7 +192,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
     high, low = max(control, target), min(control, target)
     # axis 1 is qubit ``high`` and axis 3 qubit ``low``; where the control
     # bit is 1, swap the two halves of the target axis
-    a = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+    a = state.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
     if control == high:
         a[:, 1] = a[:, 1, :, ::-1]
     else:
@@ -219,7 +202,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
 _ZZ = np.array([[1, -1], [-1, 1]])  # Z.Z on (bit a, bit b)
 
 
-def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta) -> None:
+def apply_rzz(state: np.ndarray, qubit_a: int, qubit_b: int, theta) -> None:
     """Two-qubit phase exp(+i theta Z.Z / 2)."""
     _check_qubit(state, qubit_a)
     _check_qubit(state, qubit_b)
@@ -230,17 +213,16 @@ def apply_rzz(state: StateVector, qubit_a: int, qubit_b: int, theta) -> None:
     # axes 2 and 4 are the two qubits; each row's (bit, bit) phases broadcast
     # over the rest, with no 2^L index or phase array
     theta = _per_row(state, theta)
-    a = _view(state.amplitudes, theta, -1, 2, 1 << (high - low - 1), 2, 1 << low)
+    a = _view(state, theta, -1, 2, 1 << (high - low - 1), 2, 1 << low)
     phases = np.exp(0.5j * theta * _ZZ)  # (2, 2), or (P, 2, 2) for a row each
     a *= phases.reshape(phases.shape[:-2] + (1, 2, 1, 2, 1))
 
 
-def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma) -> None:
+def apply_diagonal_phase(state: np.ndarray, energies: np.ndarray, gamma) -> None:
     """Multiply amplitude x by exp(i gamma f(x)) for a diagonal f."""
-    if energies.shape != state.amplitudes.shape[-1:]:
+    if energies.shape != state.shape[-1:]:
         raise DomainError(
-            f"energies shape {energies.shape} does not match state "
-            f"dimension {state.amplitudes.shape}"
+            f"energies shape {energies.shape} does not match state dimension {state.shape}"
         )
     _check_complex(state)
     gamma = _per_row(state, gamma)
@@ -248,22 +230,22 @@ def apply_diagonal_phase(state: StateVector, energies: np.ndarray, gamma) -> Non
         gamma = gamma.reshape(-1, 1)  # a phase row per state
     phase = np.multiply(1j * gamma, energies)
     np.exp(phase, out=phase)
-    state.amplitudes *= phase
+    state *= phase
 
 
-def expectation_diagonal(state: StateVector, energies: np.ndarray) -> float:
+def expectation_diagonal(state: np.ndarray, energies: np.ndarray) -> float:
     """Exact expectation sum_x |psi(x)|^2 f(x) of a diagonal observable."""
-    if energies.shape != state.amplitudes.shape:
+    if energies.shape != state.shape:
         raise DomainError("energies shape does not match state dimension")
-    return float(state.probabilities() @ energies)
+    return float(np.abs(state) ** 2 @ energies)
 
 
-def sample_shots(state: StateVector, uniforms: np.ndarray) -> np.ndarray:
+def sample_shots(state: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One bitstring from the Born distribution |psi(x)|^2 per uniform draw
     in [0, 1), by inverting the cumulative distribution."""
     if np.size(uniforms) < 1:
         raise DomainError("need at least one shot, got 0")
-    cdf = np.cumsum(state.probabilities())
+    cdf = np.cumsum(np.abs(state) ** 2)
     total = cdf[-1]
     if abs(total - 1.0) > _NORM_TOL:
         raise IntegrityError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
@@ -329,7 +311,7 @@ class GateOp:
     duration_ns: float | None = None
 
 
-def apply_gate(state: StateVector, op: GateOp) -> None:
+def apply_gate(state: np.ndarray, op: GateOp) -> None:
     """Apply the ideal unitary of ``op``."""
     if op.name == "ry":
         apply_ry(state, op.qubits[0], op.angle)
@@ -348,7 +330,7 @@ def apply_gate(state: StateVector, op: GateOp) -> None:
 
 
 def relax(
-    state: StateVector, qubit: int, channel: tuple[float, float, float], uniforms,
+    state: np.ndarray, qubit: int, channel: tuple[float, float, float], uniforms,
 ) -> None:
     """Pick one Kraus branch of amplitude damping + pure dephasing.
 
@@ -360,11 +342,10 @@ def relax(
     """
     p_damp, p_flip, keep = channel
     draws = iter(uniforms)
-    amps = state.amplitudes
-    if amps.ndim == 2:
-        _relax_rows(amps, qubit, channel, draws)
+    if state.ndim == 2:
+        _relax_rows(state, qubit, channel, draws)
         return
-    a = amps.reshape(-1, 2, 1 << qubit)
+    a = state.reshape(-1, 2, 1 << qubit)
     hi = a[:, 1, :]
     if p_damp > 0.0:
         squares = hi * hi if hi.dtype.kind == "f" else hi.real**2 + hi.imag**2
@@ -377,7 +358,7 @@ def relax(
         elif branch_prob > 0.0:
             # no-decay branch: norm^2 = 1 - p_damp*excited
             hi *= keep
-            amps *= 1.0 / math.sqrt(1.0 - branch_prob)
+            state *= 1.0 / math.sqrt(1.0 - branch_prob)
     if p_flip > 0.0 and next(draws) < p_flip:
         hi *= -1.0
 
@@ -412,7 +393,7 @@ def _relax_rows(amps: np.ndarray, qubit: int, channel, draws) -> None:
 
 
 def apply_noisy_gate(
-    state: StateVector, op: GateOp, noise: NoiseModel, rng: np.random.Generator
+    state: np.ndarray, op: GateOp, noise: NoiseModel, rng: np.random.Generator
 ) -> None:
     """Apply ``op`` followed by one relaxation trajectory on each touched qubit."""
     apply_gate(state, op)

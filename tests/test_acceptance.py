@@ -44,7 +44,7 @@ def test_criterion_1_gate_level_vs_diagonal_phase():
         theta = anz.init_random(spec, rng)
         diag = anz.prepare_state(spec, theta)
         gates = anz.prepare_state(spec, theta, noise=quiet, rng=rng)
-        overlap = abs(np.vdot(diag.amplitudes, gates.amplitudes))
+        overlap = abs(np.vdot(diag, gates))
         worst = min(worst, overlap)
     record(1, abs(worst - 1.0) < 1e-10, f"min |overlap| = {worst:.15f} over 20 cases")
 
@@ -296,7 +296,7 @@ def test_criterion_10a_noise_channel_decay_laws():
             sim.apply_noisy_gate(
                 state, sim.GateOp("idle", (0,), duration_ns=idle_t1 / 4), model, rng
             )
-        population += state.probabilities()[1]
+        population += np.abs(state[1]) ** 2
     population /= trials
     expected_pop = math.exp(-idle_t1 * 1e-3 / model.t1_us)
 
@@ -308,7 +308,7 @@ def test_criterion_10a_noise_channel_decay_laws():
             sim.apply_noisy_gate(
                 state, sim.GateOp("idle", (0,), duration_ns=idle_t2 / 4), model, rng
             )
-        coherence += (state.amplitudes[0] * state.amplitudes[1].conjugate()).real
+        coherence += (state[0] * state[1].conjugate()).real
     coherence /= trials * 0.5
     expected_coh = math.exp(-idle_t2 * 1e-3 / model.t2_us)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vqopt.cli import build_parser, dispatch
+from vqopt.cli import dispatch
 
 
 def run_cli(*argv):
@@ -108,6 +108,7 @@ def test_sweep_fit_report_pipeline(tmp_path):
     assert fit["result_type"] == "fit" and len(fit["points"]) == 3
 
     report_dir = tmp_path / "report"
+    (out / "grid.json").write_text(grid_path.read_text())  # not a result: skipped
     assert run_cli("report", "--in", str(out), "--format", "csv,svg",
                    "--out", str(report_dir)) == 0
     names = {p.name for p in report_dir.iterdir()}
@@ -178,14 +179,6 @@ def test_config_file_goes_through_argparse(tmp_path):
         assert exc.value.code == 2, bad
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("VQOPT_THREADS", "3")
-    parser = build_parser()
-    args = parser.parse_args(["sweep", "--spec", "s", "--grid", "g", "--reps", "1",
-                              "--out", "o"])
-    assert args.threads == 3
-
-
 def _bad_sweep_spec(**changes):
     spec = {"family": "qaoa", "size": 4, "depth": 1, "optimizer": {"name": "hill-climb"},
             "cost_alpha": 0.25}
@@ -206,120 +199,120 @@ def _bad_sweep_result(**cell_changes):
 _RUN_NOISY = ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4",
               "--iters", "2", "--out", "t.jsonl"]
 
-# (case, files to write into the working directory, argv, extra env, exit code)
+# (case, files to write into the working directory, argv, exit code)
 _BAD_INPUTS = [
     ("unknown cost kind", {}, ["run", "--instance", "inst.json", "--cost", "cvarxx",
-                               "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 2),
-    ("non-integer VQOPT_THREADS", {"spec.json": _bad_sweep_spec()},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"],
-     {"VQOPT_THREADS": "abc"}, 2),
+                               "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 2),
     ("misspelled spec field", {"spec.json": _bad_sweep_spec(cost_alfa=0.5)},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("misspelled optimizer field",
      {"spec.json": _bad_sweep_spec(optimizer={"name": "hill-climb", "step_nrom": 0.1})},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("exact-mode gradient sweep",
      {"spec.json": _bad_sweep_spec(optimizer={"name": "gradient-descent",
                                               "gradient": "finite-diff",
                                               "shots_per_circuit": None})},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("missing spec file", {},
-     ["sweep", "--spec", "nope.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "nope.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("sweep result without cells",
      {"sweep.json": {"schema_version": 1, "result_type": "sweep",
                      "problem": {"family": "qaoa", "size": 4, "depth": 1},
                      "optimizer": {"name": "hill-climb"}, "cost_alpha": 0.25, "repetitions": 2,
                      "master_seed": 0, "final_probe": False, "noise": None}},
-     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+     ["report", "--in", "sweep.json", "--out", "r"], 1),
     ("grid without iters", {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [4]}},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("grid without shots", {"spec.json": _bad_sweep_spec(), "grid.json": {"iters": [2]}},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("spec not JSON", {"spec.json": '{"family": "qaoa",'},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("grid not JSON", {"spec.json": _bad_sweep_spec(), "grid.json": '{"shots": [4], "iters"'},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("instance not JSON", {"inst.json": '{"L": 4, "coup'},
-     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
     ("noise not JSON", {"noise.json": "t1_us = 50"},
      ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4", "--iters", "2",
-      "--out", "t.jsonl"], {}, 1),
+      "--out", "t.jsonl"], 1),
     ("config not JSON", {"config.json": '{"seed": '},
-     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], {}, 1),
+     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], 1),
     ("config value of the wrong type", {"config.json": {"reps": "three"}},
-     ["--config", "config.json", "depth-sweep", "--depths", "1", "--sizes", "4", "--out", "o"],
-     {}, 2),
+     ["--config", "config.json", "depth-sweep", "--depths", "1", "--sizes", "4", "--out", "o"], 2),
     ("unknown config key", {"config.json": {"repetitions": 3}},
-     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], {}, 2),
+     ["--config", "config.json", "baseline", "--size", "4", "--calls", "2"], 2),
     ("config key abbreviating a flag", {"spec.json": _bad_sweep_spec(), "config.json": {"rep": 2}},
      ["--config", "config.json", "sweep", "--spec", "spec.json", "--grid", "grid.json",
-      "--out", "o"], {}, 2),
-    ("noise without t2_us", {"noise.json": {"t1_us": 5.0}}, _RUN_NOISY, {}, 1),
+      "--out", "o"], 2),
+    ("noise without t2_us", {"noise.json": {"t1_us": 5.0}}, _RUN_NOISY, 1),
     ("noise with a mistyped t1_us", {"noise.json": {"t1_us": "50", "t2_us": 70.0}},
-     _RUN_NOISY, {}, 1),
+     _RUN_NOISY, 1),
     ("noise with an unknown key", {"noise.json": {"t1_us": 50.0, "t2_us": 70.0, "t3_us": 1.0}},
-     _RUN_NOISY, {}, 1),
+     _RUN_NOISY, 1),
     ("spec noise with an unknown key",
      {"spec.json": _bad_sweep_spec(noise={"t1_us": 50.0, "t2_us": 70.0, "t1q_ns": 50.0,
                                           "t2q_ns": 300.0, "gate_ns": 20.0})},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("instance with a mistyped L",
      {"inst.json": {"L": "abc", "couplings": [1.0], "fields": [0.0, 0.0]}},
-     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
     ("instance with an unknown key",
      {"inst.json": {"L": 2, "couplings": [1.0], "fields": [0.0, 0.0], "size": 2}},
-     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
     ("instance of an unknown kind",
      {"inst.json": {"L": 2, "couplings": [1.0], "fields": [0.0, 0.0], "kind": "bogus"}},
-     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], {}, 1),
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
     ("depth sweep with zero repetitions", {},
-     ["depth-sweep", "--depths", "1", "--sizes", "4", "--reps", "0", "--out", "o"], {}, 1),
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--reps", "0", "--out", "o"], 1),
     ("depth sweep with zero shots", {},
-     ["depth-sweep", "--depths", "1", "--sizes", "4", "--shots", "0", "--out", "o"], {}, 1),
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--shots", "0", "--out", "o"], 1),
     ("disordered depth sweep without seeds", {},
      ["depth-sweep", "--depths", "1", "--sizes", "4", "--kind", "disordered",
-      "--instance-seeds=", "--out", "o"], {}, 1),
+      "--instance-seeds=", "--out", "o"], 1),
     ("depth sweep result with an empty cell",
      {"depth.json": {"schema_version": 1, "result_type": "depth-sweep", "kind": "disordered",
                      "dt": 0.8, "shots": 4, "repetitions": 2, "master_seed": 0,
                      "instance_seeds": [], "cells": [{"size": 4, "depth": 1, "p_gs": [],
                                                       "fsucc": []}]}},
-     ["report", "--in", "depth.json", "--out", "r"], {}, 1),
+     ["report", "--in", "depth.json", "--out", "r"], 1),
     ("sweep result with a cell of no instances", {"sweep.json": _bad_sweep_result(hit_calls=[])},
-     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+     ["report", "--in", "sweep.json", "--out", "r"], 1),
     ("depth sweep with no sizes", {},
-     ["depth-sweep", "--depths", "1", "--sizes=", "--out", "o"], {}, 1),
+     ["depth-sweep", "--depths", "1", "--sizes=", "--out", "o"], 1),
     ("depth sweep with no depths", {},
-     ["depth-sweep", "--depths=", "--sizes", "4", "--out", "o"], {}, 1),
+     ["depth-sweep", "--depths=", "--sizes", "4", "--out", "o"], 1),
     ("linear init for vqe", {},
      ["run", "--family", "vqe", "--init", "linear", "--instance", "inst.json", "--shots", "4",
-      "--iters", "2", "--out", "t.jsonl"], {}, 1),
+      "--iters", "2", "--out", "t.jsonl"], 1),
     ("init field its mode does not use",
      {"spec.json": _bad_sweep_spec(init={"mode": "linear", "low": 0.0, "high": 0.1})},
-     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], {}, 1),
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("zero threads", {"spec.json": _bad_sweep_spec()},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--threads", "0",
-      "--out", "o"], {}, 2),
+      "--out", "o"], 2),
     ("negative threads", {"spec.json": _bad_sweep_spec()},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--threads=-5",
-      "--out", "o"], {}, 2),
-    ("fit over a missing directory", {}, ["fit", "--in", "nowhere", "--out", "o"], {}, 1),
+      "--out", "o"], 2),
+    ("fit over a missing directory", {}, ["fit", "--in", "nowhere", "--out", "o"], 1),
     ("fit over a directory without sweeps", {"sweeps/notes.json": {}},
-     ["fit", "--in", "sweeps", "--out", "o"], {}, 1),
+     ["fit", "--in", "sweeps", "--out", "o"], 1),
     ("report on a sweep cell of zero repetitions",
      {"sweep.json": _bad_sweep_result(repetitions=0)},
-     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+     ["report", "--in", "sweep.json", "--out", "r"], 1),
     ("fit on a sweep cell of zero repetitions",
      {"sweeps/sweep_L4.json": _bad_sweep_result(repetitions=0)},
-     ["fit", "--in", "sweeps", "--out", "o"], {}, 1),
+     ["fit", "--in", "sweeps", "--out", "o"], 1),
+    ("report over a directory with a sweep cell of zero repetitions",
+     {"sweeps/sweep_bad.json": _bad_sweep_result(repetitions=0),
+      "sweeps/sweep_L4.json": _bad_sweep_result(), "sweeps/spec.json": _bad_sweep_spec()},
+     ["report", "--in", "sweeps", "--out", "r"], 1),
     ("report on a sweep cell of zero calls per iteration",
      {"sweep.json": _bad_sweep_result(calls_per_iter=0)},
-     ["report", "--in", "sweep.json", "--out", "r"], {}, 1),
+     ["report", "--in", "sweep.json", "--out", "r"], 1),
     ("report on a fit with a zero point",
      {"fit.json": {"schema_version": 1, "result_type": "fit", "points": [[8, 0.0], [10, 4.0]],
                    "amplitude": 1.0, "exponent": 0.5, "l_min": 8, "residuals": [0.0, 0.0],
                    "target": 0.25}},
-     ["report", "--in", "fit.json", "--out", "r"], {}, 1),
+     ["report", "--in", "fit.json", "--out", "r"], 1),
 ]
 
 
@@ -332,14 +325,16 @@ _BAD_INPUT_MESSAGES = {
     "fit over a directory without sweeps": "no sweep_*.json files in sweeps",
     "report on a sweep cell of zero repetitions": "repetitions must be >= 1",
     "fit on a sweep cell of zero repetitions": "repetitions must be >= 1",
+    "report over a directory with a sweep cell of zero repetitions":
+        "sweeps/sweep_bad.json.cells[0]: repetitions must be >= 1",
     "report on a sweep cell of zero calls per iteration": "calls_per_iter must be >= 1",
     "report on a fit with a zero point": "every n_calls* in points must be positive",
 }
 
 
-@pytest.mark.parametrize("case, files, argv, env, code", _BAD_INPUTS,
+@pytest.mark.parametrize("case, files, argv, code", _BAD_INPUTS,
                          ids=[row[0] for row in _BAD_INPUTS])
-def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, code):
+def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, code):
     run_cli("gen-instance", "--kind", "ferro", "--size", "4", "--out", str(tmp_path / "inst.json"))
     (tmp_path / "grid.json").write_text(json.dumps({"shots": [4], "iters": [2]}))
     for name, content in files.items():  # a string is written as is, so it may be bad JSON
@@ -347,7 +342,7 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, env, 
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc_env = {**os.environ, **env,
+    proc_env = {**os.environ,
                 "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "vqopt", *argv], cwd=tmp_path, env=proc_env,
                           capture_output=True, text=True, timeout=120)
