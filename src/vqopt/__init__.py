@@ -2,7 +2,7 @@
 
 from .ansatz import FAMILY_QAOA, FAMILY_VQE, AnsatzSpec, init_linear_schedule, init_random, prepare_state
 from .errors import CapacityError, DomainError, IntegrityError, SchemaError, VqoptError
-from .estimator import CVAR25, MEAN, CostKind, SampleSet, cvar_cost, exact_cost, mean_cost
+from .estimator import CVAR25, MEAN, CostKind, SampleSet, cost, exact_cost, mean_cost
 from .experiment import (
     DepthSweepResult,
     InitSpec,

@@ -314,7 +314,7 @@ def init_random(
     high: float = math.pi,
 ) -> np.ndarray:
     """I.i.d. uniform angles in (low, high)."""
-    if not low < high:
+    if not (low < high and high - low < math.inf):  # NaN and inf fail too
         raise DomainError(f"invalid range [{low}, {high})")
     return rng.uniform(low, high, size=spec.n_params)
 
@@ -323,8 +323,8 @@ def init_linear_schedule(depth: int, dt: float) -> np.ndarray:
     """Annealing-style QAOA start: theta_P^l = (l/d) dt, theta_M^l = (1 - l/d) dt."""
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     steps = np.arange(1, depth + 1) / depth
     theta = np.empty(2 * depth)
     theta[0::2] = steps * dt

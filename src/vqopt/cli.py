@@ -35,6 +35,14 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(text.split(","))
+    for name in formats:
+        if name not in ("csv", "svg"):
+            raise argparse.ArgumentTypeError(f"unknown format {name!r} (use csv, svg)")
+    return formats
+
+
 def _optimizer_config(name: str, args) -> opt.OptimizerConfig:
     if name == "cobyla":
         return opt.TrustRegionConfig()
@@ -178,14 +186,13 @@ def _cmd_depth_sweep(args, parser) -> int:
 
 def _cmd_report(args, parser) -> int:
     in_path = Path(getattr(args, "in"))
-    formats = tuple(args.format.split(","))
     scan = in_path.is_dir()  # a file named on its own must be a result
     results = [exp.load_result(path, untyped_ok=scan)
                for path in (sorted(in_path.glob("*.json")) if scan else [in_path])]
     written = []
     for result in results:
         if result is not None:
-            written += rpt.report_any(result, args.out, formats)
+            written += rpt.report_any(result, args.out, args.format)
     if not written:
         raise VqoptError(f"no reportable results under {in_path}")
     for path in written:
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="CSV tables and SVG figures from results")
     p.set_defaults(handler=_cmd_report)
     p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--format", default="csv,svg")
+    p.add_argument("--format", type=_formats, default="csv,svg")
     p.add_argument("--out", required=True)
 
     return parser

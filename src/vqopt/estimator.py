@@ -1,21 +1,22 @@
 """Shot-based cost estimation, CVaR aggregation, and the gradient rules' points.
 
 A circuit evaluation draws M bitstrings from the prepared state and
-scores them against the instance's energy table.  ``sample_round``
-evaluates the points of one optimizer round together: it draws the
-round's uniforms with one generator call, in the order the points would
-draw them one by one (each point's relaxation draws, then its M shot
-draws), prepares the points as batches of states and samples each row,
-so its sample sets are those of ``sample`` called point by point.  ``cost``
-aggregates them with the CVaR rule (average of the lowest alpha-fraction),
-whose alpha = 1 case is the plain mean.  Both gradient rules measure the
-2 * n_par ``shifted_points`` and combine their values with
-``central_difference``: parameter shift with ``PARAM_SHIFT_RULE``, a
-finite difference of step h with (h, 2h).  ``optimizer.run`` samples each
-point with its own batch of shots and scores it with the mean.  A
-``MinimumTracker`` counts the shots it observes; inside an optimization
-run, the run's tracker is the one shot counter.  ``exact_cost`` is the
-noise- and shot-free reference the tests compare against.
+scores them against the instance's energy table.  ``sample_round`` is
+the one sampling entry: it evaluates the points of one optimizer round
+(a single point is a round of one row), drawing the round's uniforms
+with one generator call, in the order the points would draw them one by
+one (each point's relaxation draws, then its M shot draws), and prepares
+the points as batches of states before sampling each row.  ``cost`` is
+the CVaR rule (average of the lowest alpha-fraction), whose alpha = 1
+case is the plain mean; ``mean_cost`` is that case's bit-for-bit
+reference.  Both gradient rules measure the 2 * n_par ``shifted_points``
+and combine their values with ``central_difference``: parameter shift
+with ``PARAM_SHIFT_RULE``, a finite difference of step h with (h, 2h).
+``optimizer.run`` samples each point with its own batch of shots and
+scores it with the mean.  A ``MinimumTracker`` counts the shots it
+observes and is the one hit test; inside an optimization run, the run's
+tracker is the one shot counter.  ``exact_cost`` is the noise- and
+shot-free reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -78,26 +79,20 @@ def mean_cost(samples: SampleSet) -> float:
     return float(samples.energies.mean())
 
 
-def cvar_cost(samples: SampleSet, alpha: float) -> float:
-    """Average of the M* = max(1, floor(alpha * M)) lowest energies.
+def cost(samples: SampleSet, kind: CostKind) -> float:
+    """Average of the M* = max(1, floor(kind.alpha * M)) lowest energies;
+    alpha = 1 gives the sample mean.
 
     Ties are broken by bitstring value so the retained set is deterministic.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     m = len(samples)
     if m == 0:
         raise DomainError("empty sample set")
-    retained = max(1, math.floor(alpha * m))
+    retained = max(1, math.floor(kind.alpha * m))
     if retained >= m:
         return float(samples.energies.mean())
     order = np.lexsort((samples.bitstrings, samples.energies))
     return float(samples.energies[order[:retained]].mean())
-
-
-def cost(samples: SampleSet, kind: CostKind) -> float:
-    """The CVaR cost at the kind's alpha; alpha = 1 gives the sample mean."""
-    return cvar_cost(samples, kind.alpha)
 
 
 def sample_round(
@@ -138,18 +133,6 @@ def _batches(count: int, rows: int):
         lo = hi
 
 
-def sample(
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    table: np.ndarray,
-    shots: int,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-) -> SampleSet:
-    """Prepare the state at ``theta`` and draw ``shots`` scored measurements."""
-    return sample_round(spec, np.asarray(theta, dtype=float)[None], table, shots, noise, rng)[0]
-
-
 def exact_cost(spec: AnsatzSpec, theta: np.ndarray, instance: IsingInstance) -> float:
     """Noise- and shot-free expectation value; the state-vector reference."""
     state = prepare_state(spec, theta)
@@ -176,13 +159,6 @@ def central_difference(values, denominator: float) -> np.ndarray:
     return (values[0::2] - values[1::2]) / denominator
 
 
-def minimizer_hits(bitstrings: np.ndarray, minimizers: np.ndarray) -> np.ndarray:
-    """Boolean mask of draws that landed on a global minimizer."""
-    if minimizers.size == 1:
-        return bitstrings == minimizers[0]
-    return np.isin(bitstrings, minimizers)
-
-
 class MinimumTracker:
     """Running record of the best energy seen and the first ground-state hit.
 
@@ -205,7 +181,10 @@ class MinimumTracker:
         low = float(samples.energies.min())
         if low < self.f_min:
             self.f_min = low
-        hits = minimizer_hits(samples.bitstrings, self._minimizers)
+        if self._minimizers.size == 1:
+            hits = samples.bitstrings == self._minimizers[0]
+        else:
+            hits = np.isin(samples.bitstrings, self._minimizers)
         found = bool(hits.any())
         if found and self.first_hit_calls is None:
             self.first_hit_calls = self.shots_seen + int(np.argmax(hits)) + 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -188,7 +189,7 @@ class CellResult(Record):
 
     def fsucc(self, n_calls: int | None = None) -> float:
         per = self.fsucc_per_instance(n_calls)
-        return float(np.median(per))
+        return float(statistics.median(per))
 
     def fsucc_band(self) -> tuple[float, float, str]:
         per = self.fsucc_per_instance()
@@ -207,7 +208,7 @@ class CellResult(Record):
         per = self.psucc_per_instance()
         if per is None:
             return None
-        return float(np.median(per))
+        return float(statistics.median(per))
 
     def checkpoints(self) -> list[int]:
         """Iteration-boundary shot counts at which F_succ is reported."""
@@ -534,6 +535,8 @@ def fit_scaling(
 
 def random_search_baseline(size: int, degeneracy: int, n_calls: int) -> float:
     """Success probability of uniform sampling with replacement."""
+    if size < 1:
+        raise DomainError(f"size must be >= 1, got {size}")
     if degeneracy < 1:
         raise DomainError("degeneracy must be >= 1")
     if n_calls < 0:
@@ -574,10 +577,10 @@ class DepthCell(Record):
         return cell
 
     def p_gs_median(self) -> float:
-        return float(np.median(self.p_gs))
+        return float(statistics.median(self.p_gs))
 
     def fsucc_median(self) -> float:
-        return float(np.median(self.fsucc))
+        return float(statistics.median(self.fsucc))
 
 
 @dataclass

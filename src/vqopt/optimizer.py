@@ -42,8 +42,6 @@ from .estimator import (
     MinimumTracker,
     central_difference,
     cost,
-    minimizer_hits,
-    sample,
     sample_round,
     shifted_points,
 )
@@ -51,6 +49,12 @@ from .ising import GroundTruth, IsingInstance, energy_table
 from .simulator import NoiseModel
 
 TRACE_SCHEMA_VERSION = 1
+
+
+def _check_angle(what: str, value: float) -> None:
+    """A parameter that scales an angle must be positive and finite (NaN fails)."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class TrustRegionConfig(Record):
     final_radius: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not 0 < self.final_radius <= self.initial_radius:
-            raise DomainError("radii must satisfy 0 < final <= initial")
+        if not 0 < self.final_radius <= self.initial_radius < math.inf:
+            raise DomainError("radii must satisfy 0 < final <= initial < inf")
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,7 @@ class HillClimbConfig(Record):
     step_norm: float = 0.03
 
     def __post_init__(self) -> None:
-        if self.step_norm <= 0:
-            raise DomainError(f"step norm must be positive, got {self.step_norm}")
+        _check_angle("step norm", self.step_norm)
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,10 @@ class GradientDescentConfig(Record):
     shots_per_circuit: int = 8
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise DomainError("learning rate must be positive")
+        _check_angle("learning rate", self.learning_rate)
         if self.gradient not in ("param-shift", "finite-diff"):
             raise DomainError(f"unknown gradient estimator {self.gradient!r}")
-        if self.step <= 0:
-            raise DomainError("finite-difference step must be positive")
+        _check_angle("finite-difference step", self.step)
         if self.shots_per_circuit < 1:
             raise DomainError("shots_per_circuit must be >= 1")
 
@@ -136,8 +137,7 @@ class RunTrace:
 
 def step_hill_climb(theta: np.ndarray, step_norm: float, rng: np.random.Generator) -> np.ndarray:
     """Propose theta + delta with delta uniform on the sphere of radius step_norm."""
-    if step_norm <= 0:
-        raise DomainError(f"step norm must be positive, got {step_norm}")
+    _check_angle("step norm", step_norm)
     while True:
         direction = rng.standard_normal(len(theta))
         norm = float(np.linalg.norm(direction))
@@ -227,12 +227,9 @@ def trust_region_rounds(
         mask = np.arange(filled) != best
         rows = offsets[mask]
         deltas = values[mask] - values[best]
-        if rows.shape[0] == rows.shape[1]:
-            try:
-                grad = np.linalg.solve(rows, deltas)
-            except np.linalg.LinAlgError:
-                grad, *_ = np.linalg.lstsq(rows, deltas, rcond=None)
-        else:
+        try:  # the simplex is full here, so ``rows`` is n x n
+            grad = np.linalg.solve(rows, deltas)
+        except np.linalg.LinAlgError:
             grad, *_ = np.linalg.lstsq(rows, deltas, rcond=None)
         gnorm = math.sqrt(float(grad @ grad))
 
@@ -358,11 +355,10 @@ def run(
     # the run's last sample set is its terminal sample, unless a final probe follows the rounds
     psucc_hit, probe_shots = last_hit, 0
     if final_probe and n_iter > 0:
-        # terminal measurement only; deliberately kept out of the tracker so
+        # terminal measurement only, scored by a tracker of its own so that
         # success/first_hit_calls reflect the optimization loop alone
-        probe = sample(spec, final_theta, table, shots, noise, rng)
-        minimizers = np.asarray(ground.minimizers, dtype=np.int64)
-        psucc_hit = bool(minimizer_hits(probe.bitstrings, minimizers).any())
+        (probe,) = sample_round(spec, final_theta[None], table, shots, noise, rng)
+        psucc_hit = MinimumTracker(ground.minimizers).observe(probe)
         probe_shots = shots
 
     return RunTrace(

@@ -247,7 +247,7 @@ def sample_shots(state: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         raise DomainError("need at least one shot, got 0")
     cdf = np.cumsum(np.abs(state) ** 2)
     total = cdf[-1]
-    if abs(total - 1.0) > _NORM_TOL:
+    if not abs(total - 1.0) <= _NORM_TOL:  # a NaN state fails too
         raise IntegrityError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
     return np.searchsorted(cdf, uniforms * total, side="right")
 
@@ -270,12 +270,14 @@ class NoiseModel(Record):
     t2q_ns: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.t1_us <= 0 or self.t2_us <= 0:
-            raise DomainError("T1 and T2 must be positive")
-        if self.t2_us > 2 * self.t1_us:
+        # written so that NaN fails every check
+        if not (self.t1_us > 0 and self.t2_us > 0):
+            raise DomainError(f"T1 and T2 must be positive, got {self.t1_us} and {self.t2_us}")
+        if not self.t2_us <= 2 * self.t1_us:
             raise DomainError(f"T2={self.t2_us} exceeds 2*T1={2 * self.t1_us}")
-        if self.t1q_ns <= 0 or self.t2q_ns <= 0:
-            raise DomainError("gate durations must be positive")
+        if not (0 < self.t1q_ns < math.inf and 0 < self.t2q_ns < math.inf):
+            raise DomainError(
+                f"gate durations must be positive and finite, got {self.t1q_ns} and {self.t2q_ns}")
 
     def channel(self, duration_ns: float) -> tuple[float, float, float]:
         """(p_damp, p_flip, sqrt(1 - p_damp)) of one qubit idling ``duration_ns``."""
@@ -299,16 +301,11 @@ def channel_draws(channel: tuple[float, float, float]) -> int:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: a named gate, its qubits, and an optional angle.
+    """One gate application: a named gate, its qubits, and an optional angle."""
 
-    ``idle`` is an identity placeholder used to expose a qubit to noise for
-    an explicit ``duration_ns``.
-    """
-
-    name: str  # "ry" | "rx" | "rz" | "cnot" | "rzz" | "idle"
+    name: str  # "ry" | "rx" | "rz" | "cnot" | "rzz"
     qubits: tuple[int, ...]
     angle: float = 0.0
-    duration_ns: float | None = None
 
 
 def apply_gate(state: np.ndarray, op: GateOp) -> None:
@@ -323,8 +320,6 @@ def apply_gate(state: np.ndarray, op: GateOp) -> None:
         apply_cnot(state, op.qubits[0], op.qubits[1])
     elif op.name == "rzz":
         apply_rzz(state, op.qubits[0], op.qubits[1], op.angle)
-    elif op.name == "idle":
-        pass
     else:
         raise DomainError(f"unknown gate {op.name!r}")
 
@@ -397,7 +392,6 @@ def apply_noisy_gate(
 ) -> None:
     """Apply ``op`` followed by one relaxation trajectory on each touched qubit."""
     apply_gate(state, op)
-    duration = noise.gate_ns(len(op.qubits)) if op.duration_ns is None else op.duration_ns
-    channel = noise.channel(duration)
+    channel = noise.channel(noise.gate_ns(len(op.qubits)))
     for qubit in op.qubits:
         relax(state, qubit, channel, rng.random(channel_draws(channel)))

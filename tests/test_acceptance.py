@@ -82,16 +82,16 @@ def test_criterion_3_cvar_unit_semantics():
         return est.SampleSet(bits, energies)
 
     exact = (
-        est.cvar_cost(samples([4, 1, 3, 2]), 0.25) == 1.0
-        and est.cvar_cost(samples([8, 7, 6, 5, 4, 3, 2, 1]), 0.25) == 1.5
-        and est.cvar_cost(samples([4, 1, 3, 2]), 1.0) == est.mean_cost(samples([4, 1, 3, 2]))
+        est.cost(samples([4, 1, 3, 2]), est.CostKind(0.25)) == 1.0
+        and est.cost(samples([8, 7, 6, 5, 4, 3, 2, 1]), est.CostKind(0.25)) == 1.5
+        and est.cost(samples([4, 1, 3, 2]), est.MEAN) == est.mean_cost(samples([4, 1, 3, 2]))
     )
     rng = np.random.default_rng(1003)
     agree = True
     for _ in range(1000):
         m = int(rng.integers(1, 50))
         s = samples(rng.standard_normal(m), rng.integers(0, 4096, m))
-        agree &= est.cvar_cost(s, 1.0) == pytest.approx(est.mean_cost(s), rel=1e-12)
+        agree &= est.cost(s, est.CostKind(1.0)) == pytest.approx(est.mean_cost(s), rel=1e-12)
     record(3, exact and agree, "hand values exact; CVaR(1.0) == mean on 1000 random sets")
 
 
@@ -138,7 +138,7 @@ def test_criterion_5_finite_difference_error_minimized_near_half():
             total = 0.0
             for th, ref in zip(thetas, exact):
                 means = [
-                    est.mean_cost(est.sample(spec, x, table, shots, None, rng))
+                    est.mean_cost(est.sample_round(spec, [x], table, shots, None, rng)[0])
                     for x in est.shifted_points(th, eps)
                 ]
                 grad = est.central_difference(means, 2.0 * eps)
@@ -288,26 +288,24 @@ def test_criterion_10a_noise_channel_decay_laws():
     rng = np.random.default_rng(1010)
 
     idle_t1 = 40_000.0  # 0.8 T1
+    channel = model.channel(idle_t1 / 4)
     population = 0.0
     for _ in range(trials):
         state = sim.init_zero(1)
         sim.apply_ry(state, 0, math.pi)
         for _ in range(4):
-            sim.apply_noisy_gate(
-                state, sim.GateOp("idle", (0,), duration_ns=idle_t1 / 4), model, rng
-            )
+            sim.relax(state, 0, channel, rng.random(sim.channel_draws(channel)))
         population += np.abs(state[1]) ** 2
     population /= trials
     expected_pop = math.exp(-idle_t1 * 1e-3 / model.t1_us)
 
     idle_t2 = 35_000.0  # 0.5 T2
+    channel = model.channel(idle_t2 / 4)
     coherence = 0.0
     for _ in range(trials):
         state = sim.init_plus(1)
         for _ in range(4):
-            sim.apply_noisy_gate(
-                state, sim.GateOp("idle", (0,), duration_ns=idle_t2 / 4), model, rng
-            )
+            sim.relax(state, 0, channel, rng.random(sim.channel_draws(channel)))
         coherence += (state[0] * state[1].conjugate()).real
     coherence /= trials * 0.5
     expected_coh = math.exp(-idle_t2 * 1e-3 / model.t2_us)

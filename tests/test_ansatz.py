@@ -295,8 +295,9 @@ def test_init_random_range_and_determinism():
     a = anz.init_random(vqe, np.random.default_rng(9))
     b = anz.init_random(vqe, np.random.default_rng(9))
     assert np.array_equal(a, b)
-    with pytest.raises(DomainError):
-        anz.init_random(vqe, rng, 1.0, -1.0)
+    for low, high in ((1.0, -1.0), (math.nan, 1.0), (-1.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(DomainError):
+            anz.init_random(vqe, rng, low, high)
 
 
 def test_linear_schedule_values():
@@ -317,5 +318,6 @@ def test_linear_schedule_monotone():
         assert np.all(np.diff(mixer) < 0)
     with pytest.raises(DomainError):
         anz.init_linear_schedule(0, 0.8)
-    with pytest.raises(DomainError):
-        anz.init_linear_schedule(2, 0.0)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            anz.init_linear_schedule(2, dt)

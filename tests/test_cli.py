@@ -313,6 +313,29 @@ _BAD_INPUTS = [
                    "amplitude": 1.0, "exponent": 0.5, "l_min": 8, "residuals": [0.0, 0.0],
                    "target": 0.25}},
      ["report", "--in", "fit.json", "--out", "r"], 1),
+    ("linear init with a NaN dt", {},
+     ["run", "--family", "qaoa", "--init", "linear", "--dt", "nan", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("linear init with an infinite dt", {},
+     ["run", "--family", "qaoa", "--init", "linear", "--dt", "inf", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("random init with an infinite upper bound", {},
+     ["run", "--init-high", "inf", "--instance", "inst.json", "--shots", "4", "--iters", "2",
+      "--out", "t.jsonl"], 1),
+    ("gradient descent with a NaN learning rate", {},
+     ["run", "--optimizer", "gd-paramshift", "--eta", "nan", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("hill climb with an infinite step norm", {},
+     ["run", "--optimizer", "hillclimb", "--step-norm", "inf", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("depth sweep with a NaN dt", {},
+     ["depth-sweep", "--dt", "nan", "--depths", "1", "--sizes", "4", "--out", "o"], 1),
+    ("noise with a NaN T1", {"noise.json": '{"t1_us": NaN, "t2_us": 70}'}, _RUN_NOISY, 1),
+    ("baseline of a negative size", {}, ["baseline", "--size", "-1", "--calls", "2"], 1),
+    ("report in an unknown format", {"sweeps/sweep_L4.json": _bad_sweep_result()},
+     ["report", "--in", "sweeps", "--format", "pdf", "--out", "r"], 2),
+    ("report in csv and an unknown format", {"sweeps/sweep_L4.json": _bad_sweep_result()},
+     ["report", "--in", "sweeps", "--format", "csv,pdf", "--out", "r"], 2),
 ]
 
 
@@ -329,6 +352,12 @@ _BAD_INPUT_MESSAGES = {
         "sweeps/sweep_bad.json.cells[0]: repetitions must be >= 1",
     "report on a sweep cell of zero calls per iteration": "calls_per_iter must be >= 1",
     "report on a fit with a zero point": "every n_calls* in points must be positive",
+    "linear init with a NaN dt": "dt must be positive and finite, got nan",
+    "depth sweep with a NaN dt": "dt must be positive and finite, got nan",
+    "noise with a NaN T1": "T1 and T2 must be positive",
+    "baseline of a negative size": "size must be >= 1",
+    "report in an unknown format": "unknown format 'pdf'",
+    "report in csv and an unknown format": "unknown format 'pdf'",
 }
 
 

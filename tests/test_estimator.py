@@ -22,19 +22,19 @@ def test_mean_cost():
 
 
 def test_cvar_examples():
-    assert est.cvar_cost(sample_set([4, 1, 3, 2]), 0.25) == pytest.approx(1.0)
-    assert est.cvar_cost(sample_set([8, 7, 6, 5, 4, 3, 2, 1]), 0.25) == pytest.approx(1.5)
+    assert est.cost(sample_set([4, 1, 3, 2]), est.CostKind(0.25)) == pytest.approx(1.0)
+    assert est.cost(sample_set([8, 7, 6, 5, 4, 3, 2, 1]), est.CostKind(0.25)) == pytest.approx(1.5)
     samples = sample_set([4, 1, 3, 2])
-    assert est.cvar_cost(samples, 1.0) == est.mean_cost(samples)
+    assert est.cost(samples, est.CostKind(1.0)) == est.mean_cost(samples)
 
 
 def test_cvar_floor_and_validation():
     # fewer than 1/alpha samples still yields the single best value
-    assert est.cvar_cost(sample_set([5.0, 2.0]), 0.25) == pytest.approx(2.0)
+    assert est.cost(sample_set([5.0, 2.0]), est.CostKind(0.25)) == pytest.approx(2.0)
     with pytest.raises(DomainError):
-        est.cvar_cost(sample_set([1.0]), 0.0)
+        est.cost(sample_set([1.0]), est.CostKind(0.0))
     with pytest.raises(DomainError):
-        est.cvar_cost(sample_set([1.0]), 1.5)
+        est.cost(sample_set([1.0]), est.CostKind(1.5))
     with pytest.raises(DomainError):
         est.CostKind(0.0)
 
@@ -43,7 +43,7 @@ def test_cvar_deterministic_tie_break():
     energies = [1.0, 1.0, 1.0, 2.0]
     a = sample_set(energies, bitstrings=[3, 1, 2, 0])
     b = sample_set(energies, bitstrings=[1, 3, 2, 0])
-    assert est.cvar_cost(a, 0.25) == est.cvar_cost(b, 0.25) == 1.0
+    assert est.cost(a, est.CostKind(0.25)) == est.cost(b, est.CostKind(0.25)) == 1.0
 
 
 def test_cvar_matches_mean_at_full_alpha_random():
@@ -51,9 +51,9 @@ def test_cvar_matches_mean_at_full_alpha_random():
     for _ in range(200):
         m = int(rng.integers(1, 40))
         samples = sample_set(rng.standard_normal(m), rng.integers(0, 100, m))
-        assert est.cvar_cost(samples, 1.0) == pytest.approx(est.mean_cost(samples))
+        assert est.cost(samples, est.CostKind(1.0)) == pytest.approx(est.mean_cost(samples))
         assert est.cost(samples, est.MEAN) == est.mean_cost(samples)  # bit for bit
-        assert est.cvar_cost(samples, 0.25) <= est.mean_cost(samples) + 1e-12
+        assert est.cost(samples, est.CostKind(0.25)) <= est.mean_cost(samples) + 1e-12
 
 
 def test_order_statistics_chain():
@@ -62,8 +62,8 @@ def test_order_statistics_chain():
         m = int(rng.integers(1, 30))
         samples = sample_set(rng.standard_normal(m), rng.integers(0, 1000, m))
         f_min = samples.energies.min()
-        assert f_min <= est.cvar_cost(samples, 0.25) + 1e-12
-        assert est.cvar_cost(samples, 0.25) <= est.mean_cost(samples) + 1e-12
+        assert f_min <= est.cost(samples, est.CostKind(0.25)) + 1e-12
+        assert est.cost(samples, est.CostKind(0.25)) <= est.mean_cost(samples) + 1e-12
 
 
 def gradient(spec, theta, inst, rule, shots=None, rng=None):
@@ -75,7 +75,9 @@ def gradient(spec, theta, inst, rule, shots=None, rng=None):
         values = [est.exact_cost(spec, x, inst) for x in points]
     else:
         table = ising.energy_table(inst)
-        values = [est.mean_cost(est.sample(spec, x, table, shots, None, rng)) for x in points]
+        values = [
+            est.mean_cost(est.sample_round(spec, [x], table, shots, None, rng)[0]) for x in points
+        ]
     return est.central_difference(values, denominator)
 
 
@@ -88,11 +90,11 @@ def test_evaluate_single_shot_and_delta_state():
     table = ising.energy_table(inst)
     spec = anz.AnsatzSpec(anz.FAMILY_VQE, 4, 1)
     rng = np.random.default_rng(33)
-    samples = est.sample(spec, np.zeros(8), table, 1, None, rng)
+    samples = est.sample_round(spec, [np.zeros(8)], table, 1, None, rng)[0]
     assert len(samples) == 1
     assert est.cost(samples, est.MEAN) == pytest.approx(samples.energies[0])
     # theta = 0 prepares |0000>, every shot is x=0 with energy -2.8
-    samples = est.sample(spec, np.zeros(8), table, 64, None, rng)
+    samples = est.sample_round(spec, [np.zeros(8)], table, 64, None, rng)[0]
     value = est.cost(samples, est.CVAR25)
     assert np.all(samples.bitstrings == 0)
     assert value == pytest.approx(ising.energy(inst, 0))
@@ -130,7 +132,8 @@ def test_evaluate_uniform_state_clt():
     table = ising.energy_table(inst)
     spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 6, 1, instance=inst)
     rng = np.random.default_rng(34)
-    value = est.cost(est.sample(spec, np.zeros(2), table, 10**5, None, rng), est.MEAN)
+    (samples,) = est.sample_round(spec, [np.zeros(2)], table, 10**5, None, rng)
+    value = est.cost(samples, est.MEAN)
     stderr = table.std() / math.sqrt(10**5)
     assert abs(value - table.mean()) < 4 * stderr
 
@@ -232,3 +235,13 @@ def test_minimum_tracker():
     # 4 shots seen before, hit at the second shot of the third set
     assert tracker.first_hit_calls == 6
     assert tracker.hit
+
+    # a degenerate ground state: a shot on either minimizer is a hit, and
+    # the first one, on the larger bitstring, sets the count
+    for minimizers in ([5, 10], [10, 5]):
+        tracker = est.MinimumTracker(minimizers)
+        assert not tracker.observe(sample_set([3.0, 4.0], bitstrings=[1, 2]))
+        assert tracker.observe(sample_set([2.0, -1.0, -1.0], bitstrings=[3, 10, 5]))
+        assert tracker.first_hit_calls == 4
+        assert tracker.observe(sample_set([-1.0], bitstrings=[5]))
+        assert tracker.first_hit_calls == 4 and tracker.shots_seen == 6

@@ -15,8 +15,21 @@ def test_step_hill_climb_norm():
     for _ in range(200):
         proposal = opt.step_hill_climb(theta, 0.03, rng)
         assert np.linalg.norm(proposal - theta) == pytest.approx(0.03, abs=1e-12)
-    with pytest.raises(DomainError):
-        opt.step_hill_climb(theta, 0.0, rng)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            opt.step_hill_climb(theta, bad, rng)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: opt.HillClimbConfig(step_norm=v),
+    lambda v: opt.GradientDescentConfig(learning_rate=v),
+    lambda v: opt.GradientDescentConfig(gradient="finite-diff", step=v),
+    lambda v: opt.TrustRegionConfig(initial_radius=v),
+], ids=["step_norm", "learning_rate", "step", "initial_radius"])
+def test_configs_reject_nonfinite_angle_scales(make):
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError):
+            make(bad)
 
 
 def test_step_hill_climb_isotropy():

@@ -264,6 +264,8 @@ def test_sample_shots_unnormalized_rejected():
         sim.sample_shots(st, np.random.default_rng(0).random(1))
     with pytest.raises(DomainError):
         sim.sample_shots(sim.init_plus(2), np.random.default_rng(0).random(0))
+    with pytest.raises(IntegrityError):  # not bitstring 2^L
+        sim.sample_shots(np.full(4, np.nan), np.random.default_rng(0).random(1))
 
 
 def test_born_rule_chi_square():
@@ -321,6 +323,13 @@ def test_noise_model_validation():
         sim.NoiseModel(t1_us=50.0, t2_us=120.0)
     with pytest.raises(DomainError):
         sim.NoiseModel(t1_us=-1.0, t2_us=1.0)
+    for field in ("t1_us", "t2_us", "t1q_ns", "t2q_ns"):
+        with pytest.raises(DomainError):
+            sim.NoiseModel(**{"t1_us": 50.0, "t2_us": 70.0, field: math.nan})
+    for field in ("t1q_ns", "t2q_ns"):  # an infinite gate gives a NaN flip probability
+        with pytest.raises(DomainError):
+            sim.NoiseModel(**{"t1_us": 50.0, "t2_us": 100.0, field: math.inf})
+    sim.NoiseModel(t1_us=math.inf, t2_us=math.inf)  # no relaxation at all stays valid
     model = sim.NoiseModel(t1_us=50.0, t2_us=70.0)
     assert sim.NoiseModel.from_json(model.to_json()) == model
 
@@ -343,14 +352,13 @@ def test_unknown_gate_rejected():
 
 def _trajectory_population(model, idle_ns, chunks, trials, seed):
     rng = np.random.default_rng(seed)
+    channel = model.channel(idle_ns / chunks)
     stay = 0
     for _ in range(trials):
         st = sim.init_zero(1)
         sim.apply_ry(st, 0, math.pi)  # |1>
         for _ in range(chunks):
-            sim.apply_noisy_gate(
-                st, sim.GateOp("idle", (0,), duration_ns=idle_ns / chunks), model, rng
-            )
+            sim.relax(st, 0, channel, rng.random(sim.channel_draws(channel)))
         stay += np.abs(st[1]) ** 2
     return stay / trials
 
@@ -366,14 +374,13 @@ def test_dephasing_decay_quick():
     model = sim.NoiseModel(t1_us=50.0, t2_us=70.0)
     idle_ns = 35_000.0  # 0.5 T2
     rng = np.random.default_rng(15)
+    channel = model.channel(idle_ns / 4)
     coherence = 0.0
     trials = 2000
     for _ in range(trials):
         st = sim.init_plus(1)
         for _ in range(4):
-            sim.apply_noisy_gate(
-                st, sim.GateOp("idle", (0,), duration_ns=idle_ns / 4), model, rng
-            )
+            sim.relax(st, 0, channel, rng.random(sim.channel_draws(channel)))
         coherence += (st[0] * st[1].conjugate()).real
     coherence /= trials * 0.5  # |+| coherence starts at 1/2
     assert coherence == pytest.approx(math.exp(-0.5), rel=0.10)
