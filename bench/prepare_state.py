@@ -6,7 +6,10 @@ written to BENCH_prepare_state.json.
 (the states of the large-L depth sweep, 1-16 MB).  ``prepare_batch``
 rows: the same families, noise and sizes at depth 2 with P in {1, 5, 31,
 2 n_par} points, in microseconds per state: one ``prepare_state`` call on
-the (P, n_par) batch where the tree prepares batches, P calls otherwise.
+the (P, n_par) batch.  Every call draws the uniforms of its relaxations
+from one generator and passes them in, as ``estimator.sample_round`` does,
+so the trees compared must take drawn uniforms (batch preparation came
+with them).
 ``ry_layer`` rows: the first RY layer of an ideal RY-CNOT state at L in
 {6, 8, 10, 12}, built by ``simulator.init_ry_product`` where the tree has
 it and by L ``apply_ry`` calls on |0...0> otherwise.  ``energy_table``
@@ -97,17 +100,14 @@ def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int, p
     theta = anz.init_random(spec, np.random.default_rng(size))
     noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0) if noisy else None
     rng = np.random.default_rng(7)
+    # each call draws its uniforms, as a sampling round does, and passes them
+    # positionally, which a tree whose fourth parameter is named rng accepts too
+    draws = anz.compile_plan(spec, noise).draws
     if layer == "prepare_state":
-        return lambda: anz.prepare_state(spec, theta, noise=noise, rng=rng)
+        return lambda: anz.prepare_state(spec, theta, noise, rng.random(draws))
     batch = np.stack([anz.init_random(spec, np.random.default_rng([size, r]))
                       for r in range(batch_points(spec.n_params, points))])
-    if "draws" in anz.Plan._fields:  # the tree prepares a batch in one call
-        return lambda: anz.prepare_state(spec, batch, noise=noise, rng=rng)
-
-    def one_by_one():
-        for theta in batch:
-            anz.prepare_state(spec, theta, noise=noise, rng=rng)
-    return one_by_one
+    return lambda: anz.prepare_state(spec, batch, noise, rng.random((len(batch), draws)))
 
 
 def batch_points(n_params: int, points) -> int:

@@ -24,15 +24,16 @@ on the spec), and :func:`prepare_state` runs the steps in one loop, on
 one state or on a batch of P states with a parameter vector per row.  A
 noisy plan follows every gate with one relaxation step per touched qubit,
 and knows how many uniforms a state's relaxations take, so they can be
-drawn before it runs.  RY-CNOT plans work on a float64 state; an ideal
-plan starts from its first RY layer built as a product state and applies
-each CNOT ladder as one precomputed permutation of the amplitudes.  An ideal
-QAOA mixer is one cache-blocked step: it rotates qubits 0..B-1 on each
-contiguous chunk of 2^B amplitudes (B = 14, a 256 KB chunk that stays
-in a 1 MB L2 cache) before the qubits from B up on the whole state, so
-above L = B each rotation on a low qubit reaches the simulator once per
-chunk.  Every amplitude sees the same operations in the same order, so
-the bits are those of one full-state RX per qubit.
+drawn before it runs.  A plan also carries its states' dtype: float64
+for RY-CNOT, complex128 for QAOA.  An ideal RY-CNOT plan starts from its
+first RY layer built as a product state and applies each CNOT ladder as
+one precomputed permutation of the amplitudes.  An ideal QAOA mixer is
+one cache-blocked step: it rotates qubits 0..B-1 on each contiguous chunk
+of 2^B amplitudes (B = 14, a 256 KB chunk that stays in a 1 MB L2 cache)
+before the qubits from B up on the whole state, so above L = B each
+rotation on a low qubit reaches the simulator once per chunk.  Every
+amplitude sees the same operations in the same order, so the bits are
+those of one full-state RX per qubit.
 """
 
 from __future__ import annotations
@@ -110,14 +111,15 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
 
 class Plan(NamedTuple):
     """A circuit compiled for one noise model.  ``start(angles)`` makes the
-    initial state and each step, called as ``step(state, angles, draws)``,
-    acts on it in order.  ``angles[i]`` is parameter i, a float for one state
-    or a column of P values for a batch; ``draws[i]`` is likewise uniform i
-    of the ``draws`` that one state's relaxations take."""
+    initial state, of ``dtype``, and each step, called as ``step(state,
+    angles, draws)``, acts on it in order.  ``angles[i]`` is parameter i, a
+    float for one state or a column of P values for a batch; ``draws[i]`` is
+    likewise uniform i of the ``draws`` that one state's relaxations take."""
 
     start: Callable[[np.ndarray], np.ndarray]
     steps: tuple[Callable, ...]
     draws: int
+    dtype: np.dtype
 
 
 # The ideal mixer's chunk: 2^14 complex amplitudes (256 KB) fit a 1 MB L2
@@ -243,7 +245,7 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
                 for j in range(size - 1):
                     gate((j, j + 1), _cnot, j)
         start = _product_start if noise is None else _zero_start
-        return Plan(functools.partial(start, size), tuple(steps), draws)
+        return Plan(functools.partial(start, size), tuple(steps), draws, np.dtype(float))
 
     # The noisy phase is the RZZ/RZ decomposition of exp(-i gamma H_P), exact
     # since all terms commute: H_P = -sum J_j Z_j Z_{j+1} - sum h_j Z_j in qubit
@@ -262,14 +264,14 @@ def _compile(spec: AnsatzSpec, noise: NoiseModel | None) -> Plan:
             gate((j,), _rz, j, 2.0 * float(instance.fields[j]), gamma)
         for j in range(size):
             gate((j,), _mixer, j, beta)
-    return Plan(functools.partial(_plus_start, size), tuple(steps), draws)
+    return Plan(functools.partial(_plus_start, size), tuple(steps), draws, np.dtype(complex))
 
 
 def prepare_state(
     spec: AnsatzSpec,
     theta: np.ndarray,
     noise: NoiseModel | None = None,
-    rng: np.random.Generator | np.ndarray | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the circuit and return the prepared state, shaped (2^L,).
 
@@ -278,23 +280,19 @@ def prepare_state(
     gets on its own.  With a noise model, every gate is followed by one
     sampled relaxation trajectory on the qubits it touches (initial-state
     preparation itself is noiseless).  The trajectories take
-    ``compile_plan(spec, noise).draws`` uniforms per state: ``rng`` is the
-    generator to draw them from, row after row, or the uniforms already
-    drawn, shaped ``theta.shape[:-1] + (draws,)``.
+    ``compile_plan(spec, noise).draws`` uniforms per state, which the
+    caller draws and passes as ``uniforms``, shaped ``theta.shape[:-1] +
+    (draws,)``; an ideal preparation takes none and ignores them.
     """
     theta = _check_params(spec, theta)
     plan = compile_plan(spec, noise)
     draws = None
     if noise is not None:
-        if rng is None:
-            raise DomainError("noisy preparation needs an rng")
         shape = theta.shape[:-1] + (plan.draws,)
-        if isinstance(rng, np.random.Generator):
-            draws = rng.random(shape)
-        else:
-            draws = np.asarray(rng, dtype=float)
-            if draws.shape != shape:
-                raise DomainError(f"need uniforms of shape {shape}, got {draws.shape}")
+        got = None if uniforms is None else np.shape(uniforms)
+        if got != shape:
+            raise DomainError(f"noisy preparation needs uniforms of shape {shape}, got {got}")
+        draws = np.asarray(uniforms, dtype=float)
     one_row = theta.ndim == 2 and len(theta) == 1  # a batch of one runs as one state
     if one_row:
         theta, draws = theta[0], None if draws is None else draws[0]

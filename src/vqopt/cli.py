@@ -35,6 +35,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _formats(text: str) -> tuple[str, ...]:
     formats = tuple(text.split(","))
     for name in formats:
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_instance)
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="one optimization run, JSON-lines trace")
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", default="cvar25", help="mean or cvarNN (percent)")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--init", choices=["random", "linear"], default="random")
     p.add_argument("--init-low", type=float, default=-math.pi)
     p.add_argument("--init-high", type=float, default=math.pi)
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="problem+optimizer JSON")
     p.add_argument("--grid", required=True, help='JSON {"shots": [...], "iters": [...]}')
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--final-probe", action="store_true")
     p.add_argument("--out", required=True)
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, required=True)
     p.add_argument("--shots", type=int, default=16)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--kind", choices=sorted(_KINDS), default="ferro")
     p.add_argument("--instance-seeds", type=_int_list, default=[0])
     p.add_argument("--out", required=True)

@@ -6,7 +6,8 @@ the one sampling entry: it evaluates the points of one optimizer round
 (a single point is a round of one row), drawing the round's uniforms
 with one generator call, in the order the points would draw them one by
 one (each point's relaxation draws, then its M shot draws), and prepares
-the points as batches of states before sampling each row.  ``cost`` is
+the points as batches of states, sized by the plan's dtype, before
+sampling each row; ``prepare_state`` draws nothing itself.  ``cost`` is
 the CVaR rule (average of the lowest alpha-fraction), whose alpha = 1
 case is the plain mean; ``mean_cost`` is that case's bit-for-bit
 reference.  Both gradient rules measure the 2 * n_par ``shifted_points``
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator as sim
-from .ansatz import FAMILY_VQE, AnsatzSpec, compile_plan, prepare_state
+from .ansatz import AnsatzSpec, compile_plan, prepare_state
 from .errors import DomainError
 from .ising import IsingInstance, energy_table
 from .simulator import NoiseModel
@@ -108,15 +109,14 @@ def sample_round(
     if shots < 1:
         raise DomainError(f"need at least one shot, got {shots}")
     points = np.asarray(points, dtype=float)
-    draws = compile_plan(spec, noise).draws
+    plan = compile_plan(spec, noise)
     # rng.random(n) returns the doubles of n scalar draws, so this is the
     # stream of sampling the points one after another
-    uniforms = rng.random((len(points), draws + shots))
-    state_bytes = (8 if spec.family == FAMILY_VQE else 16) << spec.size
+    uniforms = rng.random((len(points), plan.draws + shots))
     sets = []
-    for batch in _batches(len(points), _BATCH_BYTES // state_bytes):
-        states = prepare_state(spec, points[batch], noise, uniforms[batch, :draws])
-        for state, shot_uniforms in zip(states, uniforms[batch, draws:]):
+    for batch in _batches(len(points), _BATCH_BYTES // (plan.dtype.itemsize << spec.size)):
+        states = prepare_state(spec, points[batch], noise, uniforms[batch, :plan.draws])
+        for state, shot_uniforms in zip(states, uniforms[batch, plan.draws:]):
             bitstrings = sim.sample_shots(state, shot_uniforms)
             sets.append(SampleSet(bitstrings=bitstrings, energies=table[bitstrings]))
     return sets

@@ -305,21 +305,20 @@ def _run_shots_block(
     noise: NoiseModel | None,
     final_probe: bool,
     task: tuple[int, IsingInstance, GroundTruth, int, tuple[tuple[int, int], ...], range],
-) -> tuple[int, list[tuple[int, list[int], int, int]]]:
+) -> list[tuple[int, int, int | None, bool, int]]:
     """Run one block of repetitions of every cell at one M on one instance.
 
     ``task`` is (instance index, instance, ground truth, M, the (cell index,
     n_iter) pairs at that M, repetitions).  A repetition makes one run at the
     longest n_iter of the sharing cells and cuts each of them from its trace
     at the cell's budget; cells that cannot share get a run of their own.
-    Returns (instance index, [(cell index, hits, psucc count, budget_calls)]).
+    Returns one (instance index, cell index, first hit within the cell's
+    budget or None, terminal-sample hit, budget_calls) per cell and repetition.
     """
     instance_index, instance, ground, shots, cells, reps = task
     spec = _ansatz_for(problem, instance)
     longest = max((n for _, n in cells if _shares_prefix(config, final_probe, n)), default=0)
-    hits: dict[int, list[int]] = {cell_index: [] for cell_index, _ in cells}
-    psucc = dict.fromkeys(hits, 0)
-    budgets: dict[int, int] = {}
+    outcomes = []
     for rep in reps:
         traces: dict[int, opt.RunTrace] = {}  # run length -> its trace
         for cell_index, iters in cells:
@@ -333,14 +332,12 @@ def _run_shots_block(
                 )
             trace = traces[length]
             budget = trace.records[max(1, iters) - 1].n_calls
-            hit = trace.first_hit_calls is not None and trace.first_hit_calls <= budget
-            if hit:
-                hits[cell_index].append(trace.first_hit_calls)
+            first = trace.first_hit_calls
+            hit = first if first is not None and first <= budget else None
             # an n_iter = 0 cell's terminal sample is its only sample
-            psucc[cell_index] += int(hit if iters == 0 else trace.psucc_hit)
-            if budgets.setdefault(cell_index, budget) != budget:
-                raise DomainError("inconsistent run budgets within one cell")
-    return instance_index, [(c, hits[c], psucc[c], budgets[c]) for c, _ in cells]
+            terminal = hit is not None if iters == 0 else trace.psucc_hit
+            outcomes.append((instance_index, cell_index, hit, terminal, budget))
+    return outcomes
 
 
 def success_sweep(
@@ -391,41 +388,36 @@ def success_sweep(
     ]
     run_block = partial(_run_shots_block, problem, config, cost_kind, master_seed, noise, final_probe)
     if threads <= 1:
-        outcomes = [run_block(task) for task in tasks]
+        blocks = [run_block(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_block, tasks, chunksize=1))
+        # a fork pool starts every worker at the first submit, so start no
+        # more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            blocks = list(pool.map(run_block, tasks, chunksize=1))
 
-    hit_map: dict[tuple[int, int], list[int]] = {}
-    psucc_map: dict[tuple[int, int], int] = {}
-    budget_map: dict[int, int] = {}
-    for inst_idx, cell_outcomes in outcomes:
-        for cell_idx, hits, psucc, budget in cell_outcomes:
-            key = (inst_idx, cell_idx)
-            hit_map.setdefault(key, []).extend(hits)
-            psucc_map[key] = psucc_map.get(key, 0) + psucc
-            if budget_map.setdefault(cell_idx, budget) != budget:
-                raise DomainError("inconsistent budgets across instances")
+    hits = [[[] for _ in instances] for _ in grid]  # [cell][instance] -> first hits
+    psucc = [[0] * len(instances) for _ in grid]
+    budgets: dict[int, int] = {}
+    for block in blocks:
+        for inst_idx, cell_idx, hit, terminal, budget in block:
+            if budgets.setdefault(cell_idx, budget) != budget:
+                raise DomainError("inconsistent run budgets within one cell")
+            if hit is not None:
+                hits[cell_idx][inst_idx].append(hit)
+            psucc[cell_idx][inst_idx] += terminal
 
     cells = []
     for cell_idx, (shots, iters) in enumerate(grid):
-        budget = budget_map[cell_idx]
-        calls_per_iter = budget // max(1, iters)
+        budget = budgets[cell_idx]
         cells.append(
             CellResult(
                 shots=shots,
                 iters=iters,
                 repetitions=repetitions,
                 budget_calls=budget,
-                calls_per_iter=calls_per_iter,
-                hit_calls=[
-                    sorted(hit_map[(i, cell_idx)]) for i in range(len(instances))
-                ],
-                psucc_hits=(
-                    [psucc_map[(i, cell_idx)] for i in range(len(instances))]
-                    if (final_probe or iters == 0)
-                    else None
-                ),
+                calls_per_iter=budget // max(1, iters),
+                hit_calls=[sorted(h) for h in hits[cell_idx]],
+                psucc_hits=psucc[cell_idx] if (final_probe or iters == 0) else None,
             )
         )
     return SweepResult(

@@ -33,11 +33,15 @@ SCHEMA_VERSION = 1
 
 
 def check_kind(kind: str, seeds) -> None:
-    """Reject an unknown instance kind, and a disordered kind with no seed."""
+    """Reject an unknown instance kind, and a disordered kind with no seed or
+    with a seed that is not a 128-bit Philox key, outside [0, 2^128)."""
     if kind not in (FERROMAGNETIC, DISORDERED):
         raise DomainError(f"unknown instance kind {kind!r}")
     if kind == DISORDERED and not seeds:
         raise DomainError("disordered instances need at least one seed")
+    for seed in seeds if kind == DISORDERED else ():
+        if not 0 <= seed < 1 << 128:
+            raise DomainError(f"disordered instance seeds must be in [0, 2^128), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,7 @@ def make_disordered(size: int, seed: int) -> IsingInstance:
     """
     if size < 2:
         raise DomainError(f"need at least 2 spins, got {size}")
+    check_kind(DISORDERED, (seed,))
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.standard_normal(2 * size - 1)
     return IsingInstance(

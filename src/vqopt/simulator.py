@@ -11,11 +11,12 @@ its gates and both relaxation branches, so its states are float64: RY,
 CNOT and :func:`relax` accept either dtype and give a real state the
 same bits as its complex twin; the gates with complex factors (RX, RZ,
 RZZ, diagonal phase) reject a real state.  Gates mutate the state in
-place, and read L from the length of the last axis.  A 1-qubit gate on
-qubit q < k pairs amplitudes within each contiguous block of 2^k, so it
-can act on one block at a time through a view of its 2^k amplitudes and
-give the same bits as on the whole state (the blocked QAOA mixer of
-:mod:`vqopt.ansatz` does this).
+place, read L from the length of the last axis, and view a state or
+batch as its leading axes followed by the axes of their qubits.  A
+1-qubit gate on qubit q < k pairs amplitudes within each contiguous
+block of 2^k, so it can act on one block at a time through a view of its
+2^k amplitudes and give the same bits as on the whole state (the blocked
+QAOA mixer of :mod:`vqopt.ansatz` does this).
 Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
@@ -122,14 +123,6 @@ def _per_row(state: np.ndarray, theta):
     return theta.reshape(-1, 1, 1)
 
 
-def _view(amps: np.ndarray, factor, *axes: int) -> np.ndarray:
-    """``amps`` reshaped to ``axes``, with a leading row axis when ``factor``
-    holds one value per row (a float factor sees the rows merged)."""
-    if isinstance(factor, np.ndarray):
-        return amps.reshape(len(factor), *axes)
-    return amps.reshape(axes)
-
-
 def _cos_sin_half(theta):
     """cos and sin of theta / 2 from libm one value at a time, since numpy's
     vector loops may round differently: floats for a float, arrays shaped
@@ -149,7 +142,7 @@ def _apply_1q(state: np.ndarray, qubit: int, m00, m01, m10, m11) -> None:
     # of numpy's inner loop, through a buffer).
     if isinstance(m00, np.ndarray):
         m00, m01, m10, m11 = (m.astype(state.dtype, copy=False) for m in (m00, m01, m10, m11))
-    a = _view(state, m00, -1, 2, 1 << qubit)
+    a = state.reshape(state.shape[:-1] + (-1, 2, 1 << qubit))
     lo = a[..., 0, :].copy()
     hi = a[..., 1, :]
     a[..., 0, :] = m00 * lo + m01 * hi
@@ -178,7 +171,7 @@ def apply_rz(state: np.ndarray, qubit: int, theta) -> None:
     c, s = _cos_sin_half(_per_row(state, theta))
     down, up = np.asarray(c, dtype=complex), np.asarray(c, dtype=complex)
     down.imag, up.imag = s, -s  # complex(c, +-s), the signs of zeros kept
-    a = _view(state, c, -1, 2, 1 << qubit)
+    a = state.reshape(state.shape[:-1] + (-1, 2, 1 << qubit))
     a[..., 0, :] *= down
     a[..., 1, :] *= up
 
@@ -210,10 +203,10 @@ def apply_rzz(state: np.ndarray, qubit_a: int, qubit_b: int, theta) -> None:
         raise DomainError("rzz qubits must differ")
     _check_complex(state)
     high, low = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
-    # axes 2 and 4 are the two qubits; each row's (bit, bit) phases broadcast
-    # over the rest, with no 2^L index or phase array
+    # the two axes of length 2 are the two qubits; each row's (bit, bit)
+    # phases broadcast over the rest, with no 2^L index or phase array
     theta = _per_row(state, theta)
-    a = _view(state, theta, -1, 2, 1 << (high - low - 1), 2, 1 << low)
+    a = state.reshape(state.shape[:-1] + (-1, 2, 1 << (high - low - 1), 2, 1 << low))
     phases = np.exp(0.5j * theta * _ZZ)  # (2, 2), or (P, 2, 2) for a row each
     a *= phases.reshape(phases.shape[:-2] + (1, 2, 1, 2, 1))
 
@@ -226,11 +219,9 @@ def apply_diagonal_phase(state: np.ndarray, energies: np.ndarray, gamma) -> None
         )
     _check_complex(state)
     gamma = _per_row(state, gamma)
-    if isinstance(gamma, np.ndarray):
-        gamma = gamma.reshape(-1, 1)  # a phase row per state
-    phase = np.multiply(1j * gamma, energies)
+    phase = np.multiply(1j * gamma, energies)  # (2^L,), or (P, 1, 2^L) for a row each
     np.exp(phase, out=phase)
-    state *= phase
+    state.reshape(state.shape[:-1] + (1, -1))[...] *= phase
 
 
 def expectation_diagonal(state: np.ndarray, energies: np.ndarray) -> float:

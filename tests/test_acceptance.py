@@ -43,7 +43,7 @@ def test_criterion_1_gate_level_vs_diagonal_phase():
         spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=inst)
         theta = anz.init_random(spec, rng)
         diag = anz.prepare_state(spec, theta)
-        gates = anz.prepare_state(spec, theta, noise=quiet, rng=rng)
+        gates = anz.prepare_state(spec, theta, quiet, rng.random(anz.compile_plan(spec, quiet).draws))
         overlap = abs(np.vdot(diag, gates))
         worst = min(worst, overlap)
     record(1, abs(worst - 1.0) < 1e-10, f"min |overlap| = {worst:.15f} over 20 cases")

@@ -140,7 +140,8 @@ def test_noisy_preparation_routes_through_channel(monkeypatch):
     rng = np.random.default_rng(1)
 
     vqe, qaoa = make_specs()
-    state = anz.prepare_state(vqe, np.zeros(vqe.n_params), noise=quiet, rng=rng)
+    state = anz.prepare_state(vqe, np.zeros(vqe.n_params), quiet,
+                              rng.random(anz.compile_plan(vqe, quiet).draws))
     # every gate relaxes each qubit it touches
     assert counts == {
         "apply_ry": (vqe.depth + 1) * vqe.size,
@@ -151,7 +152,7 @@ def test_noisy_preparation_routes_through_channel(monkeypatch):
 
     counts.clear()
     theta = anz.init_random(qaoa, rng)
-    noisy = anz.prepare_state(qaoa, theta, noise=quiet, rng=rng)
+    noisy = anz.prepare_state(qaoa, theta, quiet, rng.random(anz.compile_plan(qaoa, quiet).draws))
     # gate-level problem phase: (L-1) rzz + L rz per layer, then L rx
     assert counts == {
         "apply_rzz": qaoa.depth * (qaoa.size - 1),
@@ -163,8 +164,22 @@ def test_noisy_preparation_routes_through_channel(monkeypatch):
     overlap = abs(np.vdot(noisy, ideal))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
-    with pytest.raises(DomainError):
-        anz.prepare_state(vqe, np.zeros(vqe.n_params), noise=quiet, rng=None)
+
+def test_noisy_preparation_needs_uniforms_of_its_shape():
+    # the caller draws a state's uniforms: none, a generator, or an array of
+    # another shape than theta.shape[:-1] + (draws,) is rejected
+    noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0)
+    vqe, _ = make_specs()
+    draws = anz.compile_plan(vqe, noise).draws
+    rng = np.random.default_rng(4)
+    theta = np.zeros((3, vqe.n_params))
+    for uniforms in (None, rng, rng.random((3, draws + 1)), rng.random((2, draws)),
+                     rng.random(3 * draws)):
+        with pytest.raises(DomainError, match="needs uniforms of shape"):
+            anz.prepare_state(vqe, theta, noise, uniforms)
+    with pytest.raises(DomainError, match="needs uniforms of shape"):
+        anz.prepare_state(vqe, theta[0], noise, rng.random((1, draws)))
+    assert anz.prepare_state(vqe, theta, noise, rng.random((3, draws))).shape == (3, 1 << vqe.size)
 
 
 def reference_state(spec, theta, noise=None, rng=None):
@@ -220,8 +235,10 @@ def test_plan_matches_gate_by_gate_reference_bitwise(family, t1_t2):
                               instance=inst if family == anz.FAMILY_QAOA else None)
         theta = anz.init_random(spec, np.random.default_rng(seed))
         plan_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = anz.prepare_state(spec, theta, noise, plan_rng)
+        plan = anz.compile_plan(spec, noise)
+        got = anz.prepare_state(spec, theta, noise, plan_rng.random(plan.draws))
         want = reference_state(spec, theta, noise, ref_rng)
+        assert got.dtype == plan.dtype
         if family == anz.FAMILY_VQE:
             assert got.dtype == np.float64
             assert np.array_equal(got, want.real) and not want.imag.any()
@@ -252,12 +269,13 @@ def check_batches_bitwise(family, noise):
                 # zero amplitudes, built by the gates) and a last column of -0
                 theta[:, 0], theta[:, -1] = 0.0, -0.0
             batch_rng, row_rng = np.random.default_rng(size), np.random.default_rng(size)
-            batch = anz.prepare_state(spec, theta, noise, batch_rng)
+            draws = anz.compile_plan(spec, noise).draws
+            batch = anz.prepare_state(spec, theta, noise, batch_rng.random((rows, draws)))
             assert type(batch) is np.ndarray and batch.shape == (rows, 1 << size)
             for r in range(rows):
                 ref_rng = np.random.default_rng()  # makes the row's draws again
                 ref_rng.bit_generator.state = row_rng.bit_generator.state
-                single = anz.prepare_state(spec, theta[r], noise, row_rng)
+                single = anz.prepare_state(spec, theta[r], noise, row_rng.random(draws))
                 assert type(single) is np.ndarray and single.shape == (1 << size,)
                 assert batch[r].tobytes() == single.tobytes()
                 if r < 3:  # the reference is slow; the first rows are enough
@@ -277,7 +295,7 @@ def test_full_qaoa_gate_level_agreement():
         spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=inst)
         theta = anz.init_random(spec, rng)
         diag = anz.prepare_state(spec, theta)
-        gate = anz.prepare_state(spec, theta, noise=quiet, rng=rng)
+        gate = anz.prepare_state(spec, theta, quiet, rng.random(anz.compile_plan(spec, quiet).draws))
         assert abs(np.vdot(diag, gate)) == pytest.approx(1.0, abs=1e-10)
 
 

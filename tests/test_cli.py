@@ -336,6 +336,26 @@ _BAD_INPUTS = [
      ["report", "--in", "sweeps", "--format", "pdf", "--out", "r"], 2),
     ("report in csv and an unknown format", {"sweeps/sweep_L4.json": _bad_sweep_result()},
      ["report", "--in", "sweeps", "--format", "csv,pdf", "--out", "r"], 2),
+    ("run with a negative seed", {},
+     ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--seed", "-1",
+      "--out", "t.jsonl"], 2),
+    ("sweep with a negative seed", {"spec.json": _bad_sweep_spec()},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--seed", "-1",
+      "--out", "o"], 2),
+    ("depth sweep with a negative seed", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--seed", "-3", "--out", "o"], 2),
+    ("disordered instance with a negative seed", {},
+     ["gen-instance", "--kind", "disordered", "--size", "4", "--seed", "-1", "--out", "i.json"],
+     2),
+    ("disordered instance with a seed of 2^128", {},
+     ["gen-instance", "--kind", "disordered", "--size", "4", "--seed", str(1 << 128),
+      "--out", "i.json"], 1),
+    ("disordered depth sweep with a negative instance seed", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--kind", "disordered",
+      "--instance-seeds", "-2", "--out", "o"], 1),
+    ("sweep spec with a negative instance seed",
+     {"spec.json": _bad_sweep_spec(kind="disordered", instance_seeds=[-5])},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
 ]
 
 
@@ -358,6 +378,14 @@ _BAD_INPUT_MESSAGES = {
     "baseline of a negative size": "size must be >= 1",
     "report in an unknown format": "unknown format 'pdf'",
     "report in csv and an unknown format": "unknown format 'pdf'",
+    "run with a negative seed": "seed must be >= 0, got -1",
+    "sweep with a negative seed": "seed must be >= 0, got -1",
+    "depth sweep with a negative seed": "seed must be >= 0, got -3",
+    "disordered instance with a negative seed": "seed must be >= 0, got -1",
+    "disordered instance with a seed of 2^128": "seeds must be in [0, 2^128)",
+    "disordered depth sweep with a negative instance seed":
+        "seeds must be in [0, 2^128), got -2",
+    "sweep spec with a negative instance seed": "seeds must be in [0, 2^128), got -5",
 }
 
 

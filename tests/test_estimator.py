@@ -120,7 +120,8 @@ def test_sample_round_matches_point_by_point(family, size, noisy, points):
     sets = est.sample_round(spec, theta, table, 7, noise, round_rng)
     assert len(sets) == points
     for x, got in zip(theta, sets):
-        state = anz.prepare_state(spec, x, noise, point_rng)
+        state = anz.prepare_state(spec, x, noise,
+                                  point_rng.random(anz.compile_plan(spec, noise).draws))
         bitstrings = sim.sample_shots(state, point_rng.random(7))
         assert np.array_equal(got.bitstrings, bitstrings)
         assert np.array_equal(got.energies, table[bitstrings])

@@ -101,6 +101,31 @@ def test_sweep_threaded_matches_serial():
     assert _sharing_sweep("hill-climb", _SHARING_GRID, noisy=True, threads=2) == serial
 
 
+def test_sweep_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # a fork pool starts every worker at its first submit; this stand-in
+    # records the pool's size and runs the tasks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    # one instance and one M: at 64 threads each of the 3 repetitions is a task
+    pooled = small_sweep(grid=[(8, 2)], repetitions=3, threads=64)
+    assert sizes == [3]
+    assert pooled == small_sweep(grid=[(8, 2)], repetitions=3)
+
+
 def test_sweep_spec_from_json():
     spec = {"family": "qaoa", "size": 4, "depth": 1, "init": {"mode": "linear"},
             "noise": {"t1_us": 50, "t2_us": 70}}
