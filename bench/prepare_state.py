@@ -12,7 +12,13 @@ so the trees compared must take drawn uniforms (batch preparation came
 with them).
 ``ry_layer`` rows: the first RY layer of an ideal RY-CNOT state at L in
 {6, 8, 10, 12}, built by ``simulator.init_ry_product`` where the tree has
-it and by L ``apply_ry`` calls on |0...0> otherwise.  ``energy_table``
+it and by L ``apply_ry`` calls on |0...0> otherwise.  ``rotation`` rows:
+one ``apply_rx`` on a complex state and one ``apply_ry`` on a real state
+at L in {8, 10, 12, 14}, in microseconds per gate over a call that
+rotates every qubit once.  ``mixer_layer`` and ``phase`` rows: one step of
+an ideal QAOA plan at L in {16, 18, 20}, in milliseconds: the mixer layer
+(every qubit's RX, cache-blocked) and the diagonal problem phase, the two
+steps of one layer.  ``energy_table``
 rows: one fresh table per call at L in {12, 16, 18, 20}, in milliseconds,
 with the tracemalloc peak of one build in MB (the 8 B/entry table
 included).
@@ -58,6 +64,7 @@ DEPTH = 2
 LARGE_SIZES = (16, 18, 20)
 LARGE_DEPTH = 8
 TABLE_SIZES = (12, 16, 18, 20)
+ROTATION_SIZES = (8, 10, 12, 14)
 BATCH_POINTS = (1, 5, 31, None)  # None: the 2 n_par points of a gradient round
 REPEATS = 15
 BATCH_MS = 40.0
@@ -81,6 +88,23 @@ def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int, p
     sim = import_module(f"{vq.__name__}.simulator")
     if layer == "energy_table":
         return lambda: ising.energy_table(ising.make_disordered(size, 0))
+    if layer == "rotation":
+        gate = getattr(sim, f"apply_{family}")
+        rng = np.random.default_rng(size)
+        state = rng.standard_normal(1 << size)
+        if family == "rx":
+            state = state + 1j * rng.standard_normal(1 << size)
+
+        def rotations():
+            for j in range(size):
+                gate(state, j, 0.3)
+        return rotations
+    if layer in ("mixer_layer", "phase"):
+        instance = ising.make_disordered(size, 0)
+        spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, 1, instance=instance)
+        step = anz.compile_plan(spec).steps[layer == "mixer_layer"]  # (phase, mixer layer)
+        state, angles = sim.init_plus(size), np.array([0.3, 0.4])
+        return lambda: step(state, angles, None)
     if layer == "ry_layer":
         angles = np.random.default_rng(size).uniform(-np.pi, np.pi, size)
         if hasattr(sim, "init_ry_product"):
@@ -147,6 +171,10 @@ def main(argv: list[str] | None = None) -> None:
     rows += [("prepare_batch", family, noisy, size, DEPTH, points) for family in ("vqe", "qaoa")
              for noisy in (False, True) for size in SIZES for points in BATCH_POINTS]
     rows += [("ry_layer", "vqe", False, size, None) for size in SIZES]
+    rows += [("rotation", gate, False, size, None) for gate in ("rx", "ry")
+             for size in ROTATION_SIZES]
+    rows += [(layer, "qaoa", False, size, None) for layer in ("mixer_layer", "phase")
+             for size in LARGE_SIZES]
     rows += [("energy_table", None, False, size, None) for size in TABLE_SIZES]
     cases = {(row, label): make_case(vq, *row) for row in rows for label, vq in trees.items()}
 
@@ -172,6 +200,12 @@ def main(argv: list[str] | None = None) -> None:
             entry, unit, scale = {"layer": layer, "L": size}, "ms", 1e-3
         elif layer == "ry_layer":
             entry, unit, scale = {"layer": layer, "family": family, "L": size}, "us", 1.0
+        elif layer == "rotation":  # per gate
+            dtype = "complex" if family == "rx" else "float"
+            entry = {"layer": layer, "gate": family, "dtype": dtype, "L": size}
+            unit, scale = "us_per_gate", 1.0 / size
+        elif layer in ("mixer_layer", "phase"):
+            entry, unit, scale = {"layer": layer, "family": family, "L": size}, "ms", 1e-3
         else:
             entry = {"layer": layer, "family": family, "noise": "noisy" if noisy else "ideal",
                      "L": size, "d": depth}
@@ -197,7 +231,8 @@ def main(argv: list[str] | None = None) -> None:
     record = {
         "topic": "prepare_state",
         "what": "per call: microseconds of vqopt.ansatz.prepare_state (per state for a "
-                "batch of P points) and of the first ideal RY layer, milliseconds of "
+                "batch of P points), of the first ideal RY layer and of one RX or RY gate, "
+                "milliseconds of one ideal QAOA mixer layer or phase step and of "
                 "vqopt.ising.energy_table (with its tracemalloc peak), median of interleaved "
                 "batches",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,

@@ -27,13 +27,17 @@ and knows how many uniforms a state's relaxations take, so they can be
 drawn before it runs.  A plan also carries its states' dtype: float64
 for RY-CNOT, complex128 for QAOA.  An ideal RY-CNOT plan starts from its
 first RY layer built as a product state and applies each CNOT ladder as
-one precomputed permutation of the amplitudes.  An ideal QAOA mixer is
-one cache-blocked step: it rotates qubits 0..B-1 on each contiguous chunk
-of 2^B amplitudes (B = 14, a 256 KB chunk that stays in a 1 MB L2 cache)
-before the qubits from B up on the whole state, so above L = B each
-rotation on a low qubit reaches the simulator once per chunk.  Every
-amplitude sees the same operations in the same order, so the bits are
-those of one full-state RX per qubit.
+one precomputed permutation of the amplitudes.  An ideal QAOA layer is
+two cache-blocked steps.  The phase runs on each contiguous chunk of 2^B
+amplitudes (B = 14, a 256 KB chunk that stays in a 1 MB L2 cache) with
+its slice of the energy table.  The mixer rotates qubits 0..B-1 on each
+chunk, then qubits B..L-1 on column blocks: a row of 2^L amplitudes is a
+(2^(L-B), 2^B) grid, and 2^max(0, 2B-L) of its columns, 2^B amplitudes
+in all, are a batch of (L-B)-qubit states.  So above L = B no rotation or
+phase touches more than a chunk plus its temporaries, and each reaches
+the simulator once per chunk or block.  Every amplitude sees the same
+operations in the same order, so the bits are those of one full-state
+phase and one full-state RX per qubit.
 """
 
 from __future__ import annotations
@@ -160,22 +164,32 @@ def _mixer(qubit, index, state, angles, draws):
 
 def _mixer_layer(size, index, state, angles, draws):
     # the ideal mixer, cache-blocked: the low qubits chunk by chunk, then the
-    # rest; up to B qubits a row is one chunk, so a batch rotates as a whole
+    # rest on column blocks of the (2^(L-B), 2^B) grid of a row, each a batch
+    # of states of the high qubits; up to B qubits a row is one chunk, so a
+    # batch rotates as a whole
     angle = 2.0 * angles[index]
     if size <= _BLOCK_QUBITS:
         for j in range(size):
             sim.apply_rx(state, j, angle)
         return
+    chunk_size = 1 << _BLOCK_QUBITS
+    cols = 1 << max(0, 2 * _BLOCK_QUBITS - size)  # a block of 2^B amplitudes
     for row, row_angle in zip(state.reshape(-1, 1 << size), np.ravel(angle)):
-        for chunk in row.reshape(-1, 1 << _BLOCK_QUBITS):
+        grid = row.reshape(-1, chunk_size)
+        for chunk in grid:
             for j in range(_BLOCK_QUBITS):
                 sim.apply_rx(chunk, j, row_angle)
-        for j in range(_BLOCK_QUBITS, size):
-            sim.apply_rx(row, j, row_angle)
+        for lo in range(0, chunk_size, cols):
+            block = grid[:, lo:lo + cols].T  # a view: cols states of L - B qubits
+            for j in range(size - _BLOCK_QUBITS):
+                sim.apply_rx(block, j, row_angle)
 
 
 def _phase(table, index, state, angles, draws):
-    sim.apply_diagonal_phase(state, table, -angles[index])
+    # one 2^B chunk of every row at a time, with its slice of the table
+    gamma, step = -angles[index], min(table.size, 1 << _BLOCK_QUBITS)
+    for lo in range(0, table.size, step):
+        sim.apply_diagonal_phase(state[..., lo:lo + step], table[lo:lo + step], gamma)
 
 
 def _rzz(qubit, scale, index, state, angles, draws):

@@ -33,8 +33,9 @@ SCHEMA_VERSION = 1
 
 
 def check_kind(kind: str, seeds) -> None:
-    """Reject an unknown instance kind, and a disordered kind with no seed or
-    with a seed that is not a 128-bit Philox key, outside [0, 2^128)."""
+    """Reject an unknown instance kind, and a disordered kind with no seed,
+    with a seed that is not a 128-bit Philox key, outside [0, 2^128), or with
+    a seed given twice (its instance would count as two realizations)."""
     if kind not in (FERROMAGNETIC, DISORDERED):
         raise DomainError(f"unknown instance kind {kind!r}")
     if kind == DISORDERED and not seeds:
@@ -42,6 +43,8 @@ def check_kind(kind: str, seeds) -> None:
     for seed in seeds if kind == DISORDERED else ():
         if not 0 <= seed < 1 << 128:
             raise DomainError(f"disordered instance seeds must be in [0, 2^128), got {seed}")
+    if kind == DISORDERED and len(set(seeds)) < len(seeds):
+        raise DomainError(f"disordered instance seeds must differ, got {list(seeds)}")
 
 
 @dataclass(frozen=True)

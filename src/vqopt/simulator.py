@@ -12,11 +12,16 @@ CNOT and :func:`relax` accept either dtype and give a real state the
 same bits as its complex twin; the gates with complex factors (RX, RZ,
 RZZ, diagonal phase) reject a real state.  Gates mutate the state in
 place, read L from the length of the last axis, and view a state or
-batch as its leading axes followed by the axes of their qubits.  A
-1-qubit gate on qubit q < k pairs amplitudes within each contiguous
-block of 2^k, so it can act on one block at a time through a view of its
-2^k amplitudes and give the same bits as on the whole state (the blocked
-QAOA mixer of :mod:`vqopt.ansatz` does this).
+batch as its leading axes followed by the axes of their qubits.  RX and
+RY take three numpy passes and one temporary, with the bits of the
+two-product formula (m00 lo + m01 hi, m10 lo + m11 hi).  A 1-qubit gate
+on qubit q < k pairs amplitudes within each contiguous block of 2^k, so
+it can act on one block at a time through a view of its 2^k amplitudes
+and give the same bits as on the whole state; the amplitudes whose
+indices share their low k bits form a (L - k)-qubit state of the high
+qubits, so a set of such columns is a batch of them, and the diagonal
+phase acts on each amplitude alone (the blocked QAOA layers of
+:mod:`vqopt.ansatz` use all three).
 Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
@@ -112,15 +117,15 @@ def _check_complex(state: np.ndarray) -> None:
         raise DomainError(f"gate needs a complex state, got {state.dtype}")
 
 
-def _per_row(state: np.ndarray, theta):
-    """A float angle as is, or one angle per row shaped (P, 1, 1) to broadcast
-    over a (P, high bits, low bits) view of the batch."""
+def _per_row(state: np.ndarray, theta, axes: int = 2):
+    """A float angle as is, or one angle per row shaped (P, 1, ..., 1) to
+    broadcast over the ``axes`` trailing axes of a view of the batch."""
     if not isinstance(theta, np.ndarray) or theta.ndim == 0:
         return theta
     theta = theta.astype(float, copy=False)
     if state.ndim != 2 or theta.shape != state.shape[:1]:
         raise DomainError(f"{theta.shape} angles do not match a state of shape {state.shape}")
-    return theta.reshape(-1, 1, 1)
+    return theta.reshape((-1,) + (1,) * axes)
 
 
 def _cos_sin_half(theta):
@@ -135,33 +140,41 @@ def _cos_sin_half(theta):
             np.array([math.sin(v) for v in values]).reshape(half.shape))
 
 
-def _apply_1q(state: np.ndarray, qubit: int, m00, m01, m10, m11) -> None:
-    # View the state as ([rows,] high bits, bit q, low bits) and act on the
-    # bit-q axis; a factor is a float, or (P, 1, 1) with one value per row,
-    # cast to the state's dtype once (a float array would be cast per call
-    # of numpy's inner loop, through a buffer).
-    if isinstance(m00, np.ndarray):
-        m00, m01, m10, m11 = (m.astype(state.dtype, copy=False) for m in (m00, m01, m10, m11))
+def _apply_1q(state: np.ndarray, qubit: int, diag, cross) -> None:
+    # [[d, u], [w, d]] on qubit q, ``cross`` being u for RX (w = u) or
+    # [[w], [u]] for RY on the bit-q axis of a ([rows,] high bits, bit q, low
+    # bits) view: the cross products, d in place, then their sum with the
+    # bit-q axis reversed.  Each amplitude gets the two rounded products of
+    # the formula (d lo + u hi, d hi + w lo) summed once, so the bits are its
+    # bits: addition commutes, signed zeros included, and every complex
+    # product has an exactly zero partial product (d is real, u and w real
+    # for RY, imaginary for RX), so numpy's loops round it alike with or
+    # without fused multiply-adds.  Factor arrays are cast to the state's
+    # dtype once, not per inner loop through a buffer.
+    if isinstance(cross, np.ndarray):
+        diag, cross = (np.asarray(m, dtype=state.dtype) for m in (diag, cross))
     a = state.reshape(state.shape[:-1] + (-1, 2, 1 << qubit))
-    lo = a[..., 0, :].copy()
-    hi = a[..., 1, :]
-    a[..., 0, :] = m00 * lo + m01 * hi
-    a[..., 1, :] = m10 * lo + m11 * hi
+    cross = a * cross
+    a *= diag
+    a += cross[..., ::-1, :]
+
+
+_RY_SIGNS = np.array([[1.0], [-1.0]])  # RY's cross factors [[s], [-s]], exactly
 
 
 def apply_ry(state: np.ndarray, qubit: int, theta) -> None:
     """Rotation exp(-i theta Y / 2)."""
     _check_qubit(state, qubit)
-    c, s = _cos_sin_half(_per_row(state, theta))
-    _apply_1q(state, qubit, c, -s, s, c)
+    c, s = _cos_sin_half(_per_row(state, theta, 3))
+    _apply_1q(state, qubit, c, s * _RY_SIGNS)
 
 
 def apply_rx(state: np.ndarray, qubit: int, theta) -> None:
     """Rotation exp(+i theta X / 2)."""
     _check_qubit(state, qubit)
     _check_complex(state)
-    c, s = _cos_sin_half(_per_row(state, theta))
-    _apply_1q(state, qubit, c, 1j * s, 1j * s, c)
+    c, s = _cos_sin_half(_per_row(state, theta, 3))
+    _apply_1q(state, qubit, c, 1j * s)
 
 
 def apply_rz(state: np.ndarray, qubit: int, theta) -> None:

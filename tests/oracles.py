@@ -8,6 +8,8 @@ tables.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -80,6 +82,29 @@ def index_rzz(amplitudes: np.ndarray, qubit_a: int, qubit_b: int, theta: float) 
     idx = np.arange(amplitudes.size)
     zz = 1 - 2 * (((idx >> qubit_a) ^ (idx >> qubit_b)) & 1)
     amplitudes *= np.exp(0.5j * theta * zz)
+
+
+def two_product_rotation(amplitudes: np.ndarray, gate: str, qubit: int, theta) -> None:
+    """RX or RY in place by the two-product formula: on the bit-q axis, (lo, hi)
+    becomes (m00 lo + m01 hi, m10 lo + m11 hi).  ``theta`` is a float, or one
+    angle per row of a (P, 2^L) batch.  This is the kernel's earlier form, with
+    its factors taken as the simulator takes them (cos and sin of theta / 2
+    from libm, -s and 1j s, a float each or (P, 1, 1) arrays in the state's
+    dtype); the three-pass kernel must give the same bits."""
+    if isinstance(theta, np.ndarray):
+        half = [v / 2 for v in theta.tolist()]
+        c = np.array([math.cos(v) for v in half]).reshape(-1, 1, 1)
+        s = np.array([math.sin(v) for v in half]).reshape(-1, 1, 1)
+    else:
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+    m00, m01, m10, m11 = (c, 1j * s, 1j * s, c) if gate == "rx" else (c, -s, s, c)
+    if isinstance(theta, np.ndarray):
+        m00, m01, m10, m11 = (m.astype(amplitudes.dtype) for m in (m00, m01, m10, m11))
+    a = amplitudes.reshape(amplitudes.shape[:-1] + (-1, 2, 1 << qubit))
+    lo = a[..., 0, :].copy()
+    hi = a[..., 1, :]
+    a[..., 0, :] = m00 * lo + m01 * hi
+    a[..., 1, :] = m10 * lo + m11 * hi
 
 
 def dense_vqe_state(size: int, depth: int, theta: np.ndarray) -> np.ndarray:

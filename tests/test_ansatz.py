@@ -124,13 +124,14 @@ def test_gate_budget(monkeypatch):
 
 def test_blocked_mixer_rotates_low_qubits_per_chunk(monkeypatch):
     # above 14 qubits the ideal mixer rotates qubits 0..13 on each of the
-    # 2^(L-14) chunks, then the rest on the whole state
+    # 2^(L-14) chunks, then qubits 14..L-1 on each of 2^(L-14) column blocks;
+    # the phase runs once per chunk
     counts = spy_on(monkeypatch, "apply_rx", "apply_diagonal_phase")
     size, depth = 16, 2
     spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth,
                           instance=ising.make_disordered(size, 0))
     anz.prepare_state(spec, np.full(spec.n_params, 0.3))
-    assert counts == {"apply_diagonal_phase": depth, "apply_rx": depth * (4 * 14 + 2)}
+    assert counts == {"apply_diagonal_phase": depth * 4, "apply_rx": depth * (4 * 14 + 4 * 2)}
 
 
 def test_noisy_preparation_routes_through_channel(monkeypatch):
@@ -227,8 +228,10 @@ def test_plan_matches_gate_by_gate_reference_bitwise(family, t1_t2):
     cases = [(size, depth, seed) for size in (2, 3, 5, 8) for depth in (1, 2, 3)
              for seed in range(3)]
     if family == anz.FAMILY_QAOA and noise is None:
-        # above 14 qubits the ideal mixer runs chunk by chunk
-        cases += [(16, depth, seed) for depth in (1, 2) for seed in range(2)]
+        # above 14 qubits the ideal mixer and phase run chunk by chunk, and
+        # the mixer's 1-3 high qubits on column blocks
+        cases += [(size, depth, seed) for size in (15, 16, 17) for depth in (1, 2)
+                  for seed in range(2)]
     for size, depth, seed in cases:
         inst = ising.make_disordered(size, seed)
         spec = anz.AnsatzSpec(family, size, depth,
@@ -255,7 +258,7 @@ def check_batches_bitwise(family, noise):
     and the generator ends where preparing the rows one by one leaves it."""
     sizes = [2, 3, 4, 6, 9, 12]
     if family == anz.FAMILY_QAOA and noise is None:
-        sizes.append(16)  # each row's mixer runs chunk by chunk
+        sizes += [15, 16, 17]  # each row's layers run by chunk and column block
     for size in sizes:
         depth = 2 if size < 12 else 1
         inst = ising.make_disordered(size, size)

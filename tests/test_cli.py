@@ -356,6 +356,12 @@ _BAD_INPUTS = [
     ("sweep spec with a negative instance seed",
      {"spec.json": _bad_sweep_spec(kind="disordered", instance_seeds=[-5])},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("disordered depth sweep with a repeated instance seed", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--kind", "disordered",
+      "--instance-seeds", "3,3", "--out", "o"], 1),
+    ("sweep spec with a repeated instance seed",
+     {"spec.json": _bad_sweep_spec(kind="disordered", instance_seeds=[2, 5, 2])},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
 ]
 
 
@@ -386,6 +392,9 @@ _BAD_INPUT_MESSAGES = {
     "disordered depth sweep with a negative instance seed":
         "seeds must be in [0, 2^128), got -2",
     "sweep spec with a negative instance seed": "seeds must be in [0, 2^128), got -5",
+    "disordered depth sweep with a repeated instance seed":
+        "instance seeds must differ, got [3, 3]",
+    "sweep spec with a repeated instance seed": "instance seeds must differ, got [2, 5, 2]",
 }
 
 

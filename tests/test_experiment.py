@@ -34,6 +34,8 @@ def test_problem_spec_validation():
         exp.ProblemSpec("vqe-ry-cnot", 6, 2, init=exp.InitSpec("linear"))
     with pytest.raises(DomainError):
         exp.InitSpec("bogus")
+    with pytest.raises(DomainError, match="seeds must differ"):
+        exp.ProblemSpec("qaoa", 4, 1, "disordered", instance_seeds=(3, 3))
     spec = exp.ProblemSpec("qaoa", 6, 2, "disordered", instance_seeds=(1, 2))
     assert len(spec.instances()) == 2
 

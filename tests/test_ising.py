@@ -157,6 +157,10 @@ def test_invalid_shapes():
         ising.make_instances(4, "bogus", (0,))
     with pytest.raises(DomainError, match="seed"):
         ising.make_instances(4, ising.DISORDERED, ())
+    # a repeated seed would count one instance as two realizations
+    with pytest.raises(DomainError, match="seeds must differ"):
+        ising.make_instances(4, ising.DISORDERED, (3, 3))
+    assert len(ising.make_instances(4, ising.FERROMAGNETIC, (3, 3))) == 1  # seeds unused
 
 
 def test_serialization_round_trip(tmp_path):

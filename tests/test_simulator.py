@@ -16,6 +16,7 @@ from oracles import (
     dense_rzz,
     index_rzz,
     kron_on,
+    two_product_rotation,
 )
 
 
@@ -214,6 +215,43 @@ def test_rzz_matches_index_formula_bitwise():
                     index_rzz(want, qubit_a, qubit_b, theta)
                     sim.apply_rzz(st, qubit_a, qubit_b, theta)
                     assert np.array_equal(st, want), (size, qubit_a, qubit_b, theta)
+
+
+def rotation_inputs(size: int, rng):
+    """Complex and real states and (3, 2^L) batches, each also with exact
+    zeros of both signs in place of some amplitudes (or of their parts)."""
+    amps = random_state(size, rng)
+    zeroed = amps.copy()
+    zeroed[::3] = 0.0
+    zeroed[1::5] = -0.0
+    zeroed.real[2::4] = -0.0
+    zeroed.imag[3::4] = 0.0
+    batch = np.stack([random_state(size, rng), zeroed, amps])
+    for state in (amps, zeroed, batch):
+        yield state
+        yield state.real.copy()
+
+
+@pytest.mark.parametrize("gate", ["rx", "ry"])
+def test_rotations_match_two_product_formula_bitwise(gate):
+    # every qubit at L 1-6; angles +-0 (s = +-0), +-pi (c ~ 6e-17) and two
+    # others, a float for the whole state or batch, or one angle per row
+    rng = np.random.default_rng(15)
+    apply = {"rx": sim.apply_rx, "ry": sim.apply_ry}[gate]
+    angles = (0.0, -0.0, math.pi, -math.pi, 0.37, -2.6)
+    for size in range(1, 7):
+        for state in rotation_inputs(size, rng):
+            if gate == "rx" and state.dtype.kind == "f":
+                continue  # RX rejects a real state
+            thetas = list(angles)
+            if state.ndim == 2:
+                thetas += [np.array(angles[:3]), np.array(angles[3:])]
+            for qubit in range(size):
+                for theta in thetas:
+                    got, want = state.copy(), state.copy()
+                    apply(got, qubit, theta)
+                    two_product_rotation(want, gate, qubit, theta)
+                    assert got.tobytes() == want.tobytes(), (size, state.shape, qubit, theta)
 
 
 def test_diagonal_phase_matches_one_exp_bitwise():
