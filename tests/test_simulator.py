@@ -254,16 +254,42 @@ def test_rotations_match_two_product_formula_bitwise(gate):
                     assert got.tobytes() == want.tobytes(), (size, state.shape, qubit, theta)
 
 
+def signed_zero_state(size: int, rng) -> np.ndarray:
+    """A random state in which about a fifth of the amplitudes each have a
+    real or an imaginary part of +0 or -0, so that the sign of a zero in a
+    factor shows in the product."""
+    amps = random_state(size, rng)
+    kind = rng.integers(0, 5, amps.size)
+    amps.real[kind == 0], amps.real[kind == 1] = 0.0, -0.0
+    amps.imag[kind == 2], amps.imag[kind == 3] = 0.0, -0.0
+    return amps
+
+
 def test_diagonal_phase_matches_one_exp_bitwise():
+    # the bits of state * exp(i gamma f) with numpy's complex product and exp:
+    # gamma = +-0, products that underflow and +-0 energies make zero angles,
+    # whose signs a cos/sin form of the phase can flip.  The reference calls
+    # np.multiply with the state first: numpy's complex product may round
+    # x * y and y * x apart, and ``st * temporary`` may run as the latter
     rng = np.random.default_rng(13)
-    for size in (3, 10, 16):
-        table = ising.energy_table(ising.make_disordered(size, 4))
-        for gamma in (0.3, -1.7):
-            st = random_state(size, rng)
-            want = st.copy()
-            want *= np.exp(1j * gamma * table)
+    gammas = [0.0, -0.0, 5e-324, -5e-324, 0.3, -1.7, 3.14159, -2.5, 100.0, -1e5,
+              *rng.uniform(-10.0, 10.0, 20)]
+    tables = [ising.energy_table(make(size)) for size in (3, 10, 12, 16)
+              for make in (lambda n: ising.make_disordered(n, 4), ising.make_ferromagnetic)]
+    tables.append(np.array([0.0, -0.0, 1.5, -1.5, -0.0, 0.0, 2.0, -3.0]))
+    for table in tables:
+        size = table.size.bit_length() - 1
+        for gamma in gammas:
+            st = signed_zero_state(size, rng)
+            want = np.multiply(st, np.exp(np.multiply(1j * gamma, table)))
             sim.apply_diagonal_phase(st, table, gamma)
-            assert np.array_equal(st, want)
+            assert st.tobytes() == want.tobytes()
+        for row_gammas in ([0.0, -0.0, 5e-324], [-1.7, -0.0, 0.3], rng.uniform(-10.0, 10.0, 3)):
+            gamma = np.array(row_gammas)
+            batch = np.stack([signed_zero_state(size, rng) for _ in range(3)])
+            want = np.multiply(batch, np.exp(np.multiply(1j * gamma[:, None], table)))
+            sim.apply_diagonal_phase(batch, table, gamma)
+            assert batch.tobytes() == want.tobytes()
 
 
 def test_gate_inverse_returns_original():
