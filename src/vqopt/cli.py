@@ -338,8 +338,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         LOGGER.error("interrupted; no partial result files were written")
         return 130
-    except (VqoptError, OSError) as exc:
-        LOGGER.error("%s", exc)
+    except (VqoptError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+        LOGGER.error("%s", str(exc) or type(exc).__name__)
         return 1
 
 

@@ -14,7 +14,8 @@ declared default.  That one rule covers a result's ``result_type`` and
 
 ``check_fields`` is the same check for a JSON object whose layout is not
 a record (a grid, a sweep spec, an instance file).  ``read_json`` and
-``write_atomic`` are the package's only file reader and writer of JSON.
+``write_atomic`` are the package's only file reader and writer of JSON;
+the reader refuses ``NaN``, ``Infinity`` and overflowing numbers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import types
 import typing
@@ -42,7 +44,10 @@ def _decode(value, hint, where: str):
         if issubclass(hint, Record):
             return hint.from_json(value, where)
         if hint is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise SchemaError(f"{where} is an integer too large for a float") from None
         if isinstance(value, hint) and (type(value) is not bool or hint is bool):
             return value
         raise SchemaError(f"{where} must be {hint.__name__}, got {_json_type(value)}")
@@ -104,12 +109,18 @@ class Record:
         return cls(**values)
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json(path: str | Path):
-    """Parse a JSON input file; a file that is not JSON (or not UTF-8 text)
-    raises SchemaError."""
+    """Parse a JSON input file; a file that is not JSON (or not UTF-8 text),
+    or holds a number that is not finite, raises SchemaError."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        return json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a number _finite refused
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

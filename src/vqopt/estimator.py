@@ -14,10 +14,11 @@ reference.  Both gradient rules measure the 2 * n_par ``shifted_points``
 and combine their values with ``central_difference``: parameter shift
 with ``PARAM_SHIFT_RULE``, a finite difference of step h with (h, 2h).
 ``optimizer.run`` samples each point with its own batch of shots and
-scores it with the mean.  A ``MinimumTracker`` counts the shots it
-observes and is the one hit test; inside an optimization run, the run's
-tracker is the one shot counter.  ``exact_cost`` is the noise- and
-shot-free reference the tests compare against.
+scores it with the mean.  A ``MinimumTracker`` tests the sample sets of
+an optimization run for ground-state hits and is the run's one shot
+counter; a depth sweep, which runs no optimizer, tests its R x M draws
+itself.  ``exact_cost`` is the noise- and shot-free reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .simulator import NoiseModel
 # states cost more than single ones, and so do complex batches at L = 12.
 _BATCH_BYTES = 1 << 17
 _MIN_BATCH = 4
+MAX_SHOTS = 1 << 63  # a shot count is an array length, which numpy keeps below 2^63
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def sample_round(
 ) -> list[SampleSet]:
     """Prepare the state at each row of ``points`` and draw ``shots`` scored
     measurements from each; one sample set per point, in order."""
-    if shots < 1:
-        raise DomainError(f"need at least one shot, got {shots}")
+    if not 1 <= shots < MAX_SHOTS:
+        raise DomainError(f"shots must be in [1, 2^63), got {shots}")
     points = np.asarray(points, dtype=float)
     plan = compile_plan(spec, noise)
     # rng.random(n) returns the doubles of n scalar draws, so this is the

@@ -40,7 +40,7 @@ from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, AnsatzSpec
 from .codec import Record, check_fields, read_json, type_hints, write_atomic
 from .errors import DomainError, SchemaError
-from .estimator import CostKind
+from .estimator import MAX_SHOTS, CostKind
 from .ising import (
     FERROMAGNETIC,
     GroundTruth,
@@ -281,13 +281,9 @@ def sweep_spec_from_json(
 
 def grid_from_json(obj: dict) -> list[tuple[int, int]]:
     """Parse a grid file, ``{"shots": [...], "iters": [...]}``, into its
-    (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError,
-    and a value given twice, whose cells would be run twice, DomainError."""
+    (M, n_iter) product.  Missing, unknown or mistyped fields raise SchemaError."""
     grid = check_fields(obj, {"shots": list[int], "iters": list[int]}, "grid",
                         required=("shots", "iters"))
-    for name in ("shots", "iters"):
-        if len(set(grid[name])) < len(grid[name]):
-            raise DomainError(f"grid {name} must differ, got {grid[name]}")
     return [(m, n) for m in grid["shots"] for n in grid["iters"]]
 
 
@@ -375,6 +371,8 @@ def success_sweep(
         raise DomainError(f"threads must be >= 1, got {threads}")
     if any(iters < 0 for _, iters in grid):
         raise DomainError(f"n_iter must be >= 0, got grid {grid}")
+    if len(set(grid)) < len(grid):  # the repeat would be run twice
+        raise DomainError(f"grid cells (M, n_iter) must differ, got {grid}")
     instances = problem.instances()
     grounds = [brute_force_minimum(inst) for inst in instances]
 
@@ -617,8 +615,8 @@ def depth_sweep(
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots < MAX_SHOTS:
+        raise DomainError(f"shots must be in [1, 2^63), got {shots}")
     if not sizes or not depths:
         raise DomainError("empty size or depth list")
     for name, values in (("sizes", sizes), ("depths", depths)):

@@ -10,6 +10,7 @@ so x_j = 0 means sigma_j = +1.  All modules share this convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +70,11 @@ class IsingInstance:
             )
         if fields.shape != (self.size,):
             raise DomainError(f"expected {self.size} fields, got shape {fields.shape}")
+        # every |energy| <= sum |J| + sum |h|; a Python float sum overflows with no numpy warning
+        bound = sum(map(abs, couplings.tolist() + fields.tolist()))
+        if not math.isfinite(bound):
+            raise DomainError(f"couplings and fields must be finite, and so must "
+                              f"sum |J| + sum |h|, got {bound}")
         couplings.setflags(write=False)
         fields.setflags(write=False)
         object.__setattr__(self, "couplings", couplings)

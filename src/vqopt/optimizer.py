@@ -104,7 +104,10 @@ OptimizerConfig = Union[TrustRegionConfig, HillClimbConfig, GradientDescentConfi
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
+    """One trace row: the cost of an evaluation, and f_min and n_calls after it."""
+
+    record: str = field(default="iteration", init=False)
     index: int
     cost: float
     f_min: float
@@ -372,38 +375,12 @@ def run(
 
 def write_trace(path: str | Path, trace: RunTrace, config_echo: dict) -> None:
     """JSON-lines export: a config header, one row per iteration, a summary."""
-    lines = [
-        json.dumps(
-            {"record": "config", "schema_version": TRACE_SCHEMA_VERSION, **config_echo},
-            sort_keys=True,
-        )
+    rows = [
+        {"record": "config", "schema_version": TRACE_SCHEMA_VERSION, **config_echo},
+        *(rec.to_json() for rec in trace.records),
+        {"record": "summary", "success": trace.success, "psucc_hit": trace.psucc_hit,
+         "first_hit_calls": trace.first_hit_calls, "f_min": trace.f_min,
+         "n_calls": trace.n_calls, "probe_shots": trace.probe_shots,
+         "final_theta": trace.final_theta.tolist()},
     ]
-    for rec in trace.records:
-        lines.append(
-            json.dumps(
-                {
-                    "record": "iteration",
-                    "index": rec.index,
-                    "cost": rec.cost,
-                    "f_min": None if math.isinf(rec.f_min) else rec.f_min,
-                    "n_calls": rec.n_calls,
-                },
-                sort_keys=True,
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "record": "summary",
-                "success": trace.success,
-                "psucc_hit": trace.psucc_hit,
-                "first_hit_calls": trace.first_hit_calls,
-                "f_min": None if math.isinf(trace.f_min) else trace.f_min,
-                "n_calls": trace.n_calls,
-                "probe_shots": trace.probe_shots,
-                "final_theta": [float(v) for v in trace.final_theta],
-            },
-            sort_keys=True,
-        )
-    )
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

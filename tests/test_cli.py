@@ -196,6 +196,7 @@ def _bad_sweep_result(**cell_changes):
             "cells": [{**cell, **cell_changes}]}
 
 
+_RUN = ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"]
 _RUN_NOISY = ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4",
               "--iters", "2", "--out", "t.jsonl"]
 
@@ -331,6 +332,34 @@ _BAD_INPUTS = [
     ("depth sweep with a NaN dt", {},
      ["depth-sweep", "--dt", "nan", "--depths", "1", "--sizes", "4", "--out", "o"], 1),
     ("noise with a NaN T1", {"noise.json": '{"t1_us": NaN, "t2_us": 70}'}, _RUN_NOISY, 1),
+    ("instance with a NaN coupling",
+     {"inst.json": '{"L": 2, "couplings": [NaN], "fields": [0, 0]}'}, _RUN, 1),
+    ("instance with an infinite field",
+     {"inst.json": '{"L": 2, "couplings": [1.0], "fields": [0, -Infinity]}'}, _RUN, 1),
+    ("instance with a coupling of 1e400",
+     {"inst.json": '{"L": 2, "couplings": [1e400], "fields": [0, 0]}'}, _RUN, 1),
+    ("instance with a 400-digit coupling",
+     {"inst.json": {"L": 2, "couplings": [10**399], "fields": [0, 0]}}, _RUN, 1),
+    ("instance whose energies overflow",
+     {"inst.json": {"L": 4, "couplings": [1e308, 1e308, 1e308], "fields": [0, 0, 0, 0]}},
+     _RUN, 1),
+    ("report on a depth sweep result holding a NaN",
+     {"depth.json": '{"schema_version": 1, "result_type": "depth-sweep", "kind": "ferromagnetic", '
+                    '"dt": 0.8, "shots": 4, "repetitions": 2, "master_seed": 0, '
+                    '"instance_seeds": [0], "cells": [{"size": 4, "depth": 1, "p_gs": [NaN], '
+                    '"fsucc": [0.5]}]}'},
+     ["report", "--in", "depth.json", "--out", "r"], 1),
+    ("grid with a shot count of 10^400",
+     {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [10**400], "iters": [1]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("grid with a shot count of 2^63",
+     {"spec.json": _bad_sweep_spec(), "grid.json": {"shots": [1 << 63], "iters": [1]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("run with 2^63 shots", {},
+     ["run", "--instance", "inst.json", "--shots", str(1 << 63), "--iters", "2",
+      "--out", "t.jsonl"], 1),
+    ("depth sweep with 10^400 shots", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--shots", str(10**400), "--out", "o"], 1),
     ("baseline of a negative size", {}, ["baseline", "--size", "-1", "--calls", "2"], 1),
     ("report in an unknown format", {"sweeps/sweep_L4.json": _bad_sweep_result()},
      ["report", "--in", "sweeps", "--format", "pdf", "--out", "r"], 2),
@@ -390,7 +419,18 @@ _BAD_INPUT_MESSAGES = {
     "report on a fit with a zero point": "every n_calls* in points must be positive",
     "linear init with a NaN dt": "dt must be positive and finite, got nan",
     "depth sweep with a NaN dt": "dt must be positive and finite, got nan",
-    "noise with a NaN T1": "T1 and T2 must be positive",
+    "noise with a NaN T1": "noise.json is not valid JSON: NaN is not a finite number",
+    "instance with a NaN coupling": "inst.json is not valid JSON: NaN is not a finite number",
+    "instance with an infinite field": "-Infinity is not a finite number",
+    "instance with a coupling of 1e400": "1e400 is not a finite number",
+    "instance with a 400-digit coupling": "couplings[0] is an integer too large for a float",
+    "instance whose energies overflow": "so must sum |J| + sum |h|, got inf",
+    "report on a depth sweep result holding a NaN":
+        "depth.json is not valid JSON: NaN is not a finite number",
+    "grid with a shot count of 10^400": "shots must be in [1, 2^63), got 1000",
+    "grid with a shot count of 2^63": f"shots must be in [1, 2^63), got {1 << 63}",
+    "run with 2^63 shots": f"shots must be in [1, 2^63), got {1 << 63}",
+    "depth sweep with 10^400 shots": "shots must be in [1, 2^63), got 1000",
     "baseline of a negative size": "size must be >= 1",
     "report in an unknown format": "unknown format 'pdf'",
     "report in csv and an unknown format": "unknown format 'pdf'",
@@ -405,8 +445,8 @@ _BAD_INPUT_MESSAGES = {
     "disordered depth sweep with a repeated instance seed":
         "instance seeds must differ, got [3, 3]",
     "sweep spec with a repeated instance seed": "instance seeds must differ, got [2, 5, 2]",
-    "grid with a repeated cell": "grid shots must differ, got [16, 16]",
-    "grid with a repeated n_iter": "grid iters must differ, got [2, 0, 2]",
+    "grid with a repeated cell": "grid cells (M, n_iter) must differ, got [(16, 2), (16, 2)]",
+    "grid with a repeated n_iter": "must differ, got [(4, 2), (4, 0), (4, 2)]",
     "depth sweep with a repeated size": "depth sweep sizes must differ, got [4, 4]",
     "depth sweep with a repeated depth": "depth sweep depths must differ, got [1, 2, 1]",
 }
@@ -421,12 +461,42 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, code)
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
+    _assert_one_stderr_line(_python(tmp_path, "-m", "vqopt", *argv), code,
+                            _BAD_INPUT_MESSAGES.get(case, ""))
+
+
+def _python(cwd, *args):
+    """Run Python on this tree's package in ``cwd``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc_env = {**os.environ,
-                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "vqopt", *argv], cwd=tmp_path, env=proc_env,
-                          capture_output=True, text=True, timeout=120)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _assert_one_stderr_line(proc, code, message):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-    assert _BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
+    assert message in proc.stderr
+
+
+# stands in for numpy's MemoryError on a huge shot count, such as a grid of 10^11
+# shots: the callee raises it, so nothing is allocated
+_RAISE_MEMORY_ERROR = """
+import sys
+from vqopt import cli, optimizer
+
+def sample_round(*args):
+    raise MemoryError(*sys.argv[1:2])
+
+optimizer.sample_round = sample_round
+sys.exit(cli.dispatch(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array with shape "
+                                     "(1, 100000000013) and data type float64", ""])
+def test_memory_error_exits_with_one_stderr_line(tmp_path, message):
+    run_cli("gen-instance", "--kind", "ferro", "--size", "4", "--out", str(tmp_path / "inst.json"))
+    proc = _python(tmp_path, "-c", _RAISE_MEMORY_ERROR, message, *_RUN)
+    _assert_one_stderr_line(proc, 1, message or "MemoryError")

@@ -14,6 +14,7 @@ _DEPTH_CELL = exp.DepthCell(size=4, depth=2, p_gs=[0.25, 0.5], fsucc=[0.75, 1.0]
 # (record, a required field, a mistyped field and its bad value, a constant tag and a wrong value)
 _RECORDS = [
     (_NOISE, "t2_us", ("t1_us", "50"), None),
+    (opt.IterationRecord(3, -1.25, -2.5, 24), "f_min", ("n_calls", 24.0), ("record", "summary")),
     (opt.TrustRegionConfig(initial_radius=0.5), None, ("final_radius", True),
      ("name", "hill-climb")),
     (opt.HillClimbConfig(step_norm=0.05), None, ("step_norm", [0.05]),

@@ -163,6 +163,19 @@ def test_invalid_shapes():
     assert len(ising.make_instances(4, ising.FERROMAGNETIC, (3, 3))) == 1  # seeds unused
 
 
+def test_non_finite_or_overflowing_chains_are_refused():
+    # every energy lies within sum |J| + sum |h|, so a finite bound keeps the
+    # energy table, f_min and every trace row finite
+    for couplings, fields in (([np.nan, 1.0], [0.0] * 3), ([1.0, 1.0], [0.0, np.inf, 0.0]),
+                              ([1.0, -np.inf], [0.0] * 3), ([1e308] * 2, [1e308, 0.0, 0.0])):
+        with pytest.raises(DomainError, match="must be finite"):
+            ising.IsingInstance(3, np.array(couplings), np.array(fields))
+    # the bound of the largest chains that pass is finite, and so is their table
+    instance = ising.IsingInstance(3, np.array([1e307, -1e307]), np.full(3, 1e307))
+    table = ising.energy_table(instance)
+    assert np.isfinite(table).all() and np.abs(table).max() <= 5e307
+
+
 def test_serialization_round_trip(tmp_path):
     inst = ising.make_disordered(7, 123)
     path = tmp_path / "inst.json"
