@@ -142,9 +142,7 @@ def _cmd_sweep(args, parser) -> int:
         problem, config, kind, grid, args.reps, args.seed,
         threads=args.threads, noise=noise, final_probe=args.final_probe,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_L{problem.size}.json"
+    path = Path(args.out) / f"sweep_L{problem.size}.json"
     exp.save_result(sweep, path)
     LOGGER.info("sweep with %d cells written to %s", len(sweep.cells), path)
     return 0
@@ -164,9 +162,7 @@ def _cmd_fit(args, parser) -> int:
         else:
             LOGGER.warning("target %.3g unreached at L=%d", args.target, sweep.problem.size)
     fit = exp.fit_scaling(points, l_min=args.lmin, target=args.target)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    exp.save_result(fit, out / "fit.json")
+    exp.save_result(fit, Path(args.out) / "fit.json")
     LOGGER.info("fit: a=%.4g k=%.4g over %d points", fit.amplitude, fit.exponent, len(points))
     return 0
 
@@ -184,9 +180,7 @@ def _cmd_depth_sweep(args, parser) -> int:
         sizes=args.sizes, depths=args.depths, dt=args.dt, shots=args.shots,
         repetitions=args.reps, master_seed=args.seed, kind=kind, instance_seeds=seeds,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    exp.save_result(result, out / "depth_sweep.json")
+    exp.save_result(result, Path(args.out) / "depth_sweep.json")
     LOGGER.info("depth sweep with %d cells written to %s", len(result.cells), args.out)
     return 0
 

@@ -126,8 +126,10 @@ def read_json(path: str | Path):
 
 def write_atomic(path: str | Path, text: str) -> None:
     """Write through a temp file beside ``path`` and rename it over ``path``, so
-    an interrupted write leaves the previous file (or none) and no temp file."""
+    an interrupted write leaves the previous file (or none) and no temp file.
+    A missing directory of ``path`` is made first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

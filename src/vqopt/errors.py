@@ -10,7 +10,7 @@ class DomainError(VqoptError, ValueError):
 
 
 class CapacityError(VqoptError, ValueError):
-    """A problem size exceeds the exhaustive-enumeration budget."""
+    """A problem size exceeds the exhaustive-enumeration budget or one array."""
 
 
 class IntegrityError(VqoptError, RuntimeError):

@@ -14,9 +14,10 @@ reference.  Both gradient rules measure the 2 * n_par ``shifted_points``
 and combine their values with ``central_difference``: parameter shift
 with ``PARAM_SHIFT_RULE``, a finite difference of step h with (h, 2h).
 ``optimizer.run`` samples each point with its own batch of shots and
-scores it with the mean.  A ``MinimumTracker`` tests the sample sets of
-an optimization run for ground-state hits and is the run's one shot
-counter; a depth sweep, which runs no optimizer, tests its R x M draws
+scores it with the mean.  A ``MinimumTracker`` tests sample sets for
+ground-state hits, keeps the lowest energy and counts the shots; an
+``optimizer.RunTrace`` is one, and a final probe is scored by a fresh
+one.  A depth sweep, which runs no optimizer, tests its R x M draws
 itself.  ``exact_cost`` is the noise- and shot-free reference the tests
 compare against.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import simulator as sim
 from .ansatz import AnsatzSpec, compile_plan, prepare_state
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .ising import IsingInstance, energy_table
 from .simulator import NoiseModel
 
@@ -41,6 +42,7 @@ from .simulator import NoiseModel
 _BATCH_BYTES = 1 << 17
 _MIN_BATCH = 4
 MAX_SHOTS = 1 << 63  # a shot count is an array length, which numpy keeps below 2^63
+MAX_UNIFORMS = 1 << 60  # doubles in one array, which numpy keeps below 2^63 bytes
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,11 @@ def sample_round(
 ) -> list[SampleSet]:
     """Prepare the state at each row of ``points`` and draw ``shots`` scored
     measurements from each; one sample set per point, in order."""
-    if not 1 <= shots < MAX_SHOTS:
-        raise DomainError(f"shots must be in [1, 2^63), got {shots}")
     points = np.asarray(points, dtype=float)
     plan = compile_plan(spec, noise)
     # rng.random(n) returns the doubles of n scalar draws, so this is the
     # stream of sampling the points one after another
-    uniforms = rng.random((len(points), plan.draws + shots))
+    uniforms = draw_uniforms(rng, len(points), shots, plan.draws)
     sets = []
     for batch in _batches(len(points), _BATCH_BYTES // (plan.dtype.itemsize << spec.size)):
         states = prepare_state(spec, points[batch], noise, uniforms[batch, :plan.draws])
@@ -122,6 +122,16 @@ def sample_round(
             bitstrings = sim.sample_shots(state, shot_uniforms)
             sets.append(SampleSet(bitstrings=bitstrings, energies=table[bitstrings]))
     return sets
+
+
+def draw_uniforms(rng: np.random.Generator, rows: int, shots: int, draws: int = 0) -> np.ndarray:
+    """``rows`` rows of ``draws`` preparation uniforms, then ``shots`` shot uniforms,
+    in one call; refused before drawing when shots or the array is too large."""
+    if not 1 <= shots < MAX_SHOTS:
+        raise DomainError(f"shots must be in [1, 2^63), got {shots}")
+    if rows * (draws + shots) >= MAX_UNIFORMS:
+        raise CapacityError(f"{rows} x {draws + shots} uniforms exceed the 2^60 one array holds")
+    return rng.random((rows, draws + shots))
 
 
 def _batches(count: int, rows: int):
@@ -171,11 +181,11 @@ class MinimumTracker:
     def __init__(self, minimizers) -> None:
         self._minimizers = np.asarray(sorted(minimizers), dtype=np.int64)
         self.f_min = math.inf
-        self.shots_seen = 0
+        self.n_calls = 0
         self.first_hit_calls: int | None = None
 
     @property
-    def hit(self) -> bool:
+    def success(self) -> bool:
         return self.first_hit_calls is not None
 
     def observe(self, samples: SampleSet) -> bool:
@@ -189,6 +199,6 @@ class MinimumTracker:
             hits = np.isin(samples.bitstrings, self._minimizers)
         found = bool(hits.any())
         if found and self.first_hit_calls is None:
-            self.first_hit_calls = self.shots_seen + int(np.argmax(hits)) + 1
-        self.shots_seen += len(samples)
+            self.first_hit_calls = self.n_calls + int(np.argmax(hits)) + 1
+        self.n_calls += len(samples)
         return found

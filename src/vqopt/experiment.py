@@ -40,7 +40,7 @@ from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, AnsatzSpec
 from .codec import Record, check_fields, read_json, type_hints, write_atomic
 from .errors import DomainError, SchemaError
-from .estimator import MAX_SHOTS, CostKind
+from .estimator import CostKind, draw_uniforms
 from .ising import (
     FERROMAGNETIC,
     GroundTruth,
@@ -231,14 +231,22 @@ class SweepResult(Record):
 
     @classmethod
     def from_json(cls, obj, where: str | None = None) -> "SweepResult":
-        """Read a sweep; a cell whose instance count is not the problem's raises
-        SchemaError."""
+        """Read a sweep; an optimizer or cost_alpha that a sweep spec would
+        refuse, or a cell whose instance count or repetitions is not the
+        problem's or the sweep's, raises SchemaError."""
         sweep = super().from_json(obj, where)
+        where = where or cls.__name__
+        try:
+            _optimizer_from_json(sweep.optimizer)
+            CostKind(sweep.cost_alpha)
+        except (DomainError, SchemaError) as exc:
+            raise SchemaError(f"{where}: {exc}") from None
         count = len(sweep.problem.instances())
         for index, cell in enumerate(sweep.cells):
-            if len(cell.hit_calls) != count:
-                raise SchemaError(f"{where or cls.__name__}.cells[{index}] has "
-                                  f"{len(cell.hit_calls)} instances, the problem has {count}")
+            if len(cell.hit_calls) != count or cell.repetitions != sweep.repetitions:
+                raise SchemaError(f"{where}.cells[{index}] has {len(cell.hit_calls)} instances "
+                                  f"and {cell.repetitions} repetitions where the sweep "
+                                  f"has {count} and {sweep.repetitions}")
         return sweep
 
     def cell(self, shots: int, iters: int) -> CellResult:
@@ -259,7 +267,7 @@ _OPTIMIZERS = {
 
 def _optimizer_from_json(obj: dict) -> opt.OptimizerConfig:
     """Rebuild a config from its ``to_json`` form; absent fields take the defaults."""
-    config = _OPTIMIZERS.get(obj.get("name"))
+    config = _OPTIMIZERS.get(str(obj.get("name")))  # a JSON list or object is unhashable
     if config is None:
         raise SchemaError(f"unknown optimizer {obj.get('name')!r}")
     return config.from_json(obj, "optimizer")
@@ -615,8 +623,6 @@ def depth_sweep(
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    if not 1 <= shots < MAX_SHOTS:
-        raise DomainError(f"shots must be in [1, 2^63), got {shots}")
     if not sizes or not depths:
         raise DomainError("empty size or depth list")
     for name, values in (("sizes", sizes), ("depths", depths)):
@@ -641,7 +647,7 @@ def depth_sweep(
                 # called by its imported name: the perfbench shot audit wraps
                 # simulator.sample_shots to match its shots against run traces,
                 # and these shots belong to no run
-                draws = sample_shots(state, rng.random((repetitions, shots)))
+                draws = sample_shots(state, draw_uniforms(rng, repetitions, shots))
                 del state  # not held through the next preparation
                 hits = np.isin(draws, minimizers).any(axis=1)
                 fsucc.append(float(hits.mean()))

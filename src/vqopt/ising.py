@@ -10,7 +10,7 @@ so x_j = 0 means sigma_j = +1.  All modules share this convention.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +29,8 @@ MAX_QUBITS = 24
 # Rows of the energy table built at once: at 2^14 the (rows, L) bit and spin
 # temporaries stay a few MB, where 2^18 rows peaked at 135 MB for L = 20.
 _TABLE_CHUNK = 1 << 14
+
+_MAX_ENERGY = sys.float_info.max / 2**64  # sum |J| + sum |h| stays below it
 
 SCHEMA_VERSION = 1
 
@@ -70,11 +72,12 @@ class IsingInstance:
             )
         if fields.shape != (self.size,):
             raise DomainError(f"expected {self.size} fields, got shape {fields.shape}")
-        # every |energy| <= sum |J| + sum |h|; a Python float sum overflows with no numpy warning
+        # |energy| <= sum |J| + sum |h| (a Python sum: no numpy overflow warning),
+        # so below the limit a sum of fewer than 2^63 energies stays finite
         bound = sum(map(abs, couplings.tolist() + fields.tolist()))
-        if not math.isfinite(bound):
-            raise DomainError(f"couplings and fields must be finite, and so must "
-                              f"sum |J| + sum |h|, got {bound}")
+        if not bound < _MAX_ENERGY:
+            raise DomainError(f"couplings and fields must be finite, and so must sum |J| + "
+                              f"sum |h|, got {bound}, below {_MAX_ENERGY:.6g} (float max / 2^64)")
         couplings.setflags(write=False)
         fields.setflags(write=False)
         object.__setattr__(self, "couplings", couplings)

@@ -10,16 +10,19 @@ model), whose first round is its whole starting simplex; for
 ``gradient_descent_rounds`` (``GradientDescentConfig``) it is the 2 * n_par
 parameter-shift or finite-difference points of one step.
 
-``run`` is the one loop that measures rounds: it samples the points of a
-round together (``estimator.sample_round``) and folds every sample set
-into the run's ``MinimumTracker``, the one shot counter, whose count each
-trace row records as ``n_calls``.  Energy-based rounds are scored with the
-run's cost kind and record one row per point, so a row is one evaluation
-however the points were grouped; a gradient round is scored with the
-mean and records one row, carrying the mean energy of all the round's
-shots.  A run with ``n_iter = 0`` performs a single M-shot measurement of
-theta0 and no optimization, which is the smallest run that can still
-observe success.
+A ``RunTrace`` is one run in the same shape: ``points`` asks for a round
+and ``tell`` is given the round's sample sets, folds them into the trace,
+which is its own ``MinimumTracker`` and so the run's one shot counter
+(each row records its count as ``n_calls``), and sends the values on.
+Energy-based rounds are scored with the run's cost kind and record one
+row per point, so a row is one evaluation however the points were
+grouped; a gradient round is scored with the mean and records one row,
+carrying the mean energy of all the round's shots.  ``run`` checks its
+arguments, picks the generator, and drives one trace, sampling each
+round's points together (``estimator.sample_round``); a driver of many
+runs can tell each its own sets.  A run with ``n_iter = 0`` performs a
+single M-shot measurement of theta0 and no optimization, which is the
+smallest run that can still observe success.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .estimator import (
     PARAM_SHIFT_RULE,
     CostKind,
     MinimumTracker,
+    SampleSet,
     central_difference,
     cost,
     sample_round,
@@ -114,28 +118,37 @@ class IterationRecord(Record):
     n_calls: int
 
 
-@dataclass
-class RunTrace:
-    """Per-iteration history and outcome flags of one optimization run."""
+class RunTrace(MinimumTracker):
+    """One optimization run: ``points`` is the round its generator asks for
+    (None once it has returned), ``tell`` takes that round's sample sets.
+    ``psucc_hit`` is whether the last set held a minimizer, unless ``run``
+    replaces it with a final probe's, whose ``probe_shots`` stay out of n_calls."""
 
-    records: list[IterationRecord]
-    final_theta: np.ndarray
-    psucc_hit: bool  # the terminal M-shot sample contained a minimizer
-    first_hit_calls: int | None
-    probe_shots: int = 0  # terminal-probe shots, kept outside n_calls
+    def __init__(self, rounds: Generator, minimizers, kind: CostKind, gradient: bool) -> None:
+        super().__init__(minimizers)
+        self._rounds, self._kind, self._gradient = rounds, kind, gradient
+        self.records: list[IterationRecord] = []
+        self.final_theta: np.ndarray | None = None
+        self.psucc_hit, self.probe_shots = False, 0
+        self.points: np.ndarray | None = next(rounds)
 
-    @property
-    def success(self) -> bool:
-        """A minimizer was sampled at least once anywhere in the run."""
-        return self.first_hit_calls is not None
+    def tell(self, sets: list[SampleSet]) -> None:
+        """Take the sample sets of the round ``points`` asked for, in order."""
+        values = []
+        for samples in sets:
+            self.psucc_hit = self.observe(samples)
+            values.append(cost(samples, self._kind))
+            if not self._gradient:
+                self._record(values[-1])
+        if self._gradient:
+            self._record(float(np.mean(np.concatenate([s.energies for s in sets]))))
+        try:
+            self.points = self._rounds.send(values)
+        except StopIteration as done:
+            self.points, self.final_theta = None, done.value[0]
 
-    @property
-    def f_min(self) -> float:
-        return self.records[-1].f_min
-
-    @property
-    def n_calls(self) -> int:
-        return self.records[-1].n_calls
+    def _record(self, value: float) -> None:
+        self.records.append(IterationRecord(len(self.records) + 1, value, self.f_min, self.n_calls))
 
 
 def step_hill_climb(theta: np.ndarray, step_norm: float, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +247,9 @@ def trust_region_rounds(
             grad = np.linalg.solve(rows, deltas)
         except np.linalg.LinAlgError:
             grad, *_ = np.linalg.lstsq(rows, deltas, rcond=None)
-        gnorm = math.sqrt(float(grad @ grad))
+        with np.errstate(over="ignore"):  # near the energy limit grad @ grad overflows
+            squared = float(grad @ grad)
+        gnorm = math.sqrt(squared) if squared < math.inf else math.hypot(*grad)
 
         if gnorm <= 1e-12 * max(1.0, abs(values[best])):
             # flat model, usually drowned by shot noise: probe and shrink
@@ -332,45 +347,17 @@ def run(
     kind, per_point = (MEAN, config.shots_per_circuit) if gradient else (cost_kind, shots)
 
     table = energy_table(instance)
-    tracker = MinimumTracker(ground.minimizers)
-    records: list[IterationRecord] = []
-    points = next(rounds)
-    while True:
-        sets = sample_round(spec, points, table, per_point, noise, rng)
-        values = []
-        for samples in sets:
-            last_hit = tracker.observe(samples)
-            values.append(cost(samples, kind))
-            if not gradient:
-                records.append(IterationRecord(
-                    len(records) + 1, values[-1], tracker.f_min, tracker.shots_seen))
-        if gradient:
-            row_cost = float(np.mean(np.concatenate([s.energies for s in sets])))
-            records.append(
-                IterationRecord(len(records) + 1, row_cost, tracker.f_min, tracker.shots_seen)
-            )
-        try:
-            points = rounds.send(values)
-        except StopIteration as done:
-            final_theta = done.value[0]
-            break
+    trace = RunTrace(rounds, ground.minimizers, kind, gradient)
+    while trace.points is not None:
+        trace.tell(sample_round(spec, trace.points, table, per_point, noise, rng))
 
-    # the run's last sample set is its terminal sample, unless a final probe follows the rounds
-    psucc_hit, probe_shots = last_hit, 0
     if final_probe and n_iter > 0:
         # terminal measurement only, scored by a tracker of its own so that
         # success/first_hit_calls reflect the optimization loop alone
-        (probe,) = sample_round(spec, final_theta[None], table, shots, noise, rng)
-        psucc_hit = MinimumTracker(ground.minimizers).observe(probe)
-        probe_shots = shots
-
-    return RunTrace(
-        records=records,
-        final_theta=np.asarray(final_theta, dtype=float),
-        psucc_hit=psucc_hit,
-        first_hit_calls=tracker.first_hit_calls,
-        probe_shots=probe_shots,
-    )
+        (probe,) = sample_round(spec, trace.final_theta[None], table, shots, noise, rng)
+        trace.psucc_hit = MinimumTracker(ground.minimizers).observe(probe)
+        trace.probe_shots = shots
+    return trace
 
 
 def write_trace(path: str | Path, trace: RunTrace, config_echo: dict) -> None:

@@ -33,7 +33,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def report_sweep(sweep: SweepResult, out_dir: str | Path, formats=("csv", "svg")) -> list[Path]:
     """Emit cells.csv, curves.csv, and the F_succ-vs-n_calls figure."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"sweep_L{sweep.problem.size}"
     written: list[Path] = []
 
@@ -100,7 +99,6 @@ def report_sweep(sweep: SweepResult, out_dir: str | Path, formats=("csv", "svg")
 def report_fit(fit: ScalingFit, out_dir: str | Path, formats=("csv", "svg")) -> list[Path]:
     """Emit the (L, n_calls*) table and the log2-scale scaling figure."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     if "csv" in formats:
@@ -142,7 +140,6 @@ def report_depth_sweep(
     result: DepthSweepResult, out_dir: str | Path, formats=("csv", "svg")
 ) -> list[Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     if "csv" in formats:

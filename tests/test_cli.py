@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vqopt.cli import dispatch
@@ -401,6 +402,27 @@ _BAD_INPUTS = [
      ["depth-sweep", "--depths", "1", "--sizes", "4,4", "--out", "o"], 1),
     ("depth sweep with a repeated depth", {},
      ["depth-sweep", "--depths", "1,2,1", "--sizes", "4", "--out", "o"], 1),
+    ("mean cost on an instance whose energies overflow a mean",
+     {"inst.json": {"L": 2, "couplings": [1e308], "fields": [0, 0]}},
+     ["run", "--instance", "inst.json", "--cost", "mean", "--shots", "4", "--iters", "2",
+      "--out", "t.jsonl"], 1),
+    ("run with 2^60 shots", {},
+     ["run", "--instance", "inst.json", "--shots", str(1 << 60), "--iters", "2",
+      "--out", "t.jsonl"], 1),
+    ("depth sweep with 10^20 repetitions", {},
+     ["depth-sweep", "--depths", "1", "--sizes", "4", "--reps", str(10**20), "--out", "o"], 1),
+    ("report on a sweep result of an unknown optimizer",
+     {"sweeps/sweep_L4.json": {**_bad_sweep_result(), "optimizer": {"name": "bogus"}}},
+     ["report", "--in", "sweeps/sweep_L4.json", "--out", "r"], 1),
+    ("report on a sweep result with a cost_alpha of 7.5",
+     {"sweeps/sweep_L4.json": {**_bad_sweep_result(), "cost_alpha": 7.5}},
+     ["report", "--in", "sweeps/sweep_L4.json", "--out", "r"], 1),
+    ("report on a sweep cell of other repetitions than the sweep's",
+     {"sweeps/sweep_L4.json": _bad_sweep_result(repetitions=3)},
+     ["report", "--in", "sweeps/sweep_L4.json", "--out", "r"], 1),
+    ("spec optimizer named by a list",
+     {"spec.json": _bad_sweep_spec(optimizer={"name": ["hill-climb"]})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
 ]
 
 
@@ -449,6 +471,17 @@ _BAD_INPUT_MESSAGES = {
     "grid with a repeated n_iter": "must differ, got [(4, 2), (4, 0), (4, 2)]",
     "depth sweep with a repeated size": "depth sweep sizes must differ, got [4, 4]",
     "depth sweep with a repeated depth": "depth sweep depths must differ, got [1, 2, 1]",
+    "mean cost on an instance whose energies overflow a mean":
+        "so must sum |J| + sum |h|, got 1e+308, below 9.74531e+288",
+    "run with 2^60 shots": f"2 x {1 << 60} uniforms exceed the 2^60 one array holds",
+    "depth sweep with 10^20 repetitions": f"{10**20} x 16 uniforms exceed the 2^60",
+    "report on a sweep result of an unknown optimizer":
+        "sweeps/sweep_L4.json: unknown optimizer 'bogus'",
+    "report on a sweep result with a cost_alpha of 7.5":
+        "sweeps/sweep_L4.json: alpha must be in (0, 1], got 7.5",
+    "report on a sweep cell of other repetitions than the sweep's":
+        "cells[0] has 1 instances and 3 repetitions where the sweep has 1 and 2",
+    "spec optimizer named by a list": "unknown optimizer ['hill-climb']",
 }
 
 
@@ -478,6 +511,20 @@ def _assert_one_stderr_line(proc, code, message):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert message in proc.stderr
+
+
+def test_trust_region_run_just_under_the_energy_limit(tmp_path):
+    # mean costs of energies just under the instance limit, their differences
+    # and the trust region's gradient norm stay finite, with no numpy warning
+    big = float(np.nextafter(sys.float_info.max / 2**64 / 5, 0))
+    (tmp_path / "inst.json").write_text(
+        json.dumps({"L": 3, "couplings": [big, -big], "fields": [big] * 3}))
+    proc = _python(tmp_path, "-W", "error", "-m", "vqopt", "run", "--instance", "inst.json",
+                   "--cost", "mean", "--shots", "4", "--iters", "20", "--out", "t.jsonl")
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    assert len(rows) == 22
+    assert all(math.isfinite(row["cost"]) and math.isfinite(row["f_min"]) for row in rows[1:-1])
 
 
 # stands in for numpy's MemoryError on a huge shot count, such as a grid of 10^11

@@ -235,7 +235,7 @@ def test_minimum_tracker():
     assert tracker.f_min == -1.0
     # 4 shots seen before, hit at the second shot of the third set
     assert tracker.first_hit_calls == 6
-    assert tracker.hit
+    assert tracker.success
 
     # a degenerate ground state: a shot on either minimizer is a hit, and
     # the first one, on the larger bitstring, sets the count
@@ -245,4 +245,4 @@ def test_minimum_tracker():
         assert tracker.observe(sample_set([2.0, -1.0, -1.0], bitstrings=[3, 10, 5]))
         assert tracker.first_hit_calls == 4
         assert tracker.observe(sample_set([-1.0], bitstrings=[5]))
-        assert tracker.first_hit_calls == 4 and tracker.shots_seen == 6
+        assert tracker.first_hit_calls == 4 and tracker.n_calls == 6

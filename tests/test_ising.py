@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -164,16 +165,23 @@ def test_invalid_shapes():
 
 
 def test_non_finite_or_overflowing_chains_are_refused():
-    # every energy lies within sum |J| + sum |h|, so a finite bound keeps the
-    # energy table, f_min and every trace row finite
+    # every energy lies within sum |J| + sum |h|, so a bound below 2^-64 of the
+    # float maximum keeps the energy table, the sum of any array of its
+    # energies, f_min and every trace row finite
+    limit = sys.float_info.max / 2**64
     for couplings, fields in (([np.nan, 1.0], [0.0] * 3), ([1.0, 1.0], [0.0, np.inf, 0.0]),
-                              ([1.0, -np.inf], [0.0] * 3), ([1e308] * 2, [1e308, 0.0, 0.0])):
+                              ([1.0, -np.inf], [0.0] * 3), ([1e308] * 2, [1e308, 0.0, 0.0]),
+                              ([limit / 4] * 2, [limit / 4, limit / 4, 0.0]),
+                              ([limit, 0.0], [0.0] * 3)):
         with pytest.raises(DomainError, match="must be finite"):
             ising.IsingInstance(3, np.array(couplings), np.array(fields))
-    # the bound of the largest chains that pass is finite, and so is their table
-    instance = ising.IsingInstance(3, np.array([1e307, -1e307]), np.full(3, 1e307))
+    # the bound of the largest chains that pass is below the limit, their
+    # table is finite, and so is 2^62 times its largest energy
+    big = np.nextafter(limit / 5, 0)
+    instance = ising.IsingInstance(3, np.array([big, -big]), np.full(3, big))
     table = ising.energy_table(instance)
-    assert np.isfinite(table).all() and np.abs(table).max() <= 5e307
+    assert np.isfinite(table).all() and np.abs(table).max() < limit
+    assert np.isfinite(np.abs(table).max() * 2.0**62)
 
 
 def test_serialization_round_trip(tmp_path):

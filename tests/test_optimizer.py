@@ -286,6 +286,59 @@ def test_run_final_probe():
     assert trace.n_calls == 12 * 8  # probe shots excluded
 
 
+_INTERLEAVED = [
+    opt.TrustRegionConfig(initial_radius=0.5, final_radius=0.01),
+    opt.HillClimbConfig(step_norm=0.2),
+    opt.GradientDescentConfig(gradient="param-shift", shots_per_circuit=3),
+    opt.GradientDescentConfig(gradient="finite-diff", shots_per_circuit=3),
+]
+
+
+def _rounds_for(config, theta0, n_iter, rng):
+    """The generator run picks for ``config`` at n_iter > 0."""
+    if isinstance(config, opt.TrustRegionConfig):
+        return opt.trust_region_rounds(
+            theta0, n_iter, config.initial_radius, config.final_radius, rng)
+    if isinstance(config, opt.HillClimbConfig):
+        return opt.hill_climb_rounds(theta0, n_iter, config.step_norm, rng)
+    return opt.gradient_descent_rounds(theta0, n_iter, config)
+
+
+@pytest.mark.parametrize("config", _INTERLEAVED,
+                         ids=[getattr(c, "gradient", c.name) for c in _INTERLEAVED])
+def test_interleaved_run_traces_equal_sequential_runs(config):
+    # two runs told their rounds round-robin, each sampled with its own
+    # generator, as a driver of many runs would: every run's trace is the one
+    # run makes alone
+    spec, inst, ground = _run_setup(size=4, family=anz.FAMILY_VQE, depth=1)
+    gradient = isinstance(config, opt.GradientDescentConfig)
+    kind, per_point = (est.MEAN, 3) if gradient else (est.CVAR25, 6)
+    table = ising.energy_table(inst)
+    seeds, n_iter = (67, 68), 9
+
+    sequential = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        sequential.append(opt.run(spec, inst, ground, config, kind, 6, n_iter,
+                                  anz.init_random(spec, rng), rng=rng))
+    runs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rounds = _rounds_for(config, anz.init_random(spec, rng), n_iter, rng)
+        runs.append((opt.RunTrace(rounds, ground.minimizers, kind, gradient), rng))
+    while any(trace.points is not None for trace, _ in runs):
+        for trace, rng in runs:
+            if trace.points is not None:
+                trace.tell(est.sample_round(spec, trace.points, table, per_point, None, rng))
+
+    assert any(alone.success for alone in sequential)
+    for alone, (trace, _) in zip(sequential, runs):
+        assert trace.records == alone.records
+        assert trace.final_theta.tobytes() == alone.final_theta.tobytes()
+        assert (trace.first_hit_calls, trace.psucc_hit, trace.n_calls, trace.f_min) == (
+            alone.first_hit_calls, alone.psucc_hit, alone.n_calls, alone.f_min)
+
+
 def test_run_determinism_byte_for_byte(tmp_path):
     spec, inst, ground = _run_setup()
     paths = []
