@@ -113,6 +113,10 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
             f"expected {spec.n_params} parameters for {spec.family}, "
             f"got shape {theta.shape}"
         )
+    # NaN fails too; as sum |J| + sum |h| < float max / 2^64, |theta| < 2^62 keeps
+    # every angle a plan forms (gamma E, 2 J gamma, 2 h gamma, 2 beta) < max / 2
+    if not (largest := np.abs(theta).max()) < 2.0**62:
+        raise DomainError(f"angles must be finite with |theta| < 2^62, got {largest}")
     return theta
 
 

@@ -55,14 +55,12 @@ def _optimizer_config(name: str, args) -> opt.OptimizerConfig:
         return opt.TrustRegionConfig()
     if name == "hillclimb":
         return opt.HillClimbConfig(step_norm=args.step_norm)
-    if name in ("gd-paramshift", "gd-finitediff"):
-        return opt.GradientDescentConfig(
-            learning_rate=args.eta,
-            gradient="param-shift" if name == "gd-paramshift" else "finite-diff",
-            step=args.eps,
-            shots_per_circuit=args.grad_shots,
-        )
-    raise VqoptError(f"unknown optimizer {name!r}")
+    return opt.GradientDescentConfig(  # the parser's choices leave gd-paramshift, gd-finitediff
+        learning_rate=args.eta,
+        gradient="param-shift" if name == "gd-paramshift" else "finite-diff",
+        step=args.eps,
+        shots_per_circuit=args.grad_shots,
+    )
 
 
 def _cost_kind(text: str) -> CostKind:

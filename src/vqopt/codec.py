@@ -3,14 +3,16 @@
 A dataclass that inherits :class:`Record` gets ``to_json``, which writes
 an object keyed by the field names (nested records become objects, tuples
 become lists), and ``from_json``, which checks each value against the
-field's annotation.  An unknown, missing or mistyped field raises
-``SchemaError``; a bool is not a number, and an integer is accepted where
-a float is declared.  An absent field takes the dataclass default.
+field's annotation.  A field that is unknown, missing, mistyped or
+refused by the record's own check raises ``SchemaError``; a bool is not a
+number, an int reads as a float, and an absent field takes its default.
 
 A field declared with ``init=False`` is a *constant tag*: it is written
 like any other field and, on reading, must be present and equal its
 declared default.  That one rule covers a result's ``result_type`` and
-``schema_version`` and an optimizer's ``name``.
+``schema_version`` and an optimizer's ``name``.  A field declared as a
+union of records (``OptimizerConfig``) reads the record whose tags the
+object carries; ``SchemaError`` names the tag values of one that matches none.
 
 ``check_fields`` is the same check for a JSON object whose layout is not
 a record (a grid, a sweep spec, an instance file).  ``read_json`` and
@@ -29,7 +31,7 @@ import types
 import typing
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 type_hints = functools.cache(typing.get_type_hints)
 
@@ -52,8 +54,17 @@ def _decode(value, hint, where: str):
             return value
         raise SchemaError(f"{where} must be {hint.__name__}, got {_json_type(value)}")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # only `X | None` is used
-        return None if value is None else _decode(value, args[0], where)
+    if origin in (typing.Union, types.UnionType):
+        if type(None) in args:  # `X | None`
+            return None if value is None else _decode(value, args[0], where)
+        if not isinstance(value, dict):  # a union of records, told apart by their tags
+            raise SchemaError(f"{where} must be a JSON object, got {_json_type(value)}")
+        tags = {arm: [f for f in dataclasses.fields(arm) if not f.init] for arm in args}
+        for arm, fields in tags.items():
+            if all(value.get(f.name) == f.default for f in fields):
+                return arm.from_json(value, where)
+        given = {f.name: value.get(f.name) for fields in tags.values() for f in fields}
+        raise SchemaError(f"unknown {where} " + ", ".join(f"{k} {v!r}" for k, v in given.items()))
     if not isinstance(value, list):
         raise SchemaError(f"{where} must be a list, got {_json_type(value)}")
     if origin is tuple and args[-1] is not Ellipsis:
@@ -106,7 +117,10 @@ class Record:
         for f in fields:
             if not f.init and values.pop(f.name) != f.default:
                 raise SchemaError(f"{where}.{f.name} must be {f.default!r}, got {obj[f.name]!r}")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except DomainError as exc:  # a value the record's own check refuses
+            raise SchemaError(f"{where}: {exc}") from None
 
 
 def _finite(text: str) -> float:

@@ -219,7 +219,7 @@ class CellResult(Record):
 @dataclass
 class SweepResult(Record):
     problem: ProblemSpec
-    optimizer: dict  # the config's to_json echo
+    optimizer: opt.OptimizerConfig
     cost_alpha: float
     repetitions: int
     master_seed: int
@@ -229,18 +229,15 @@ class SweepResult(Record):
     schema_version: int = field(default=SCHEMA_VERSION, init=False)
     result_type: str = field(default="sweep", init=False)
 
+    def __post_init__(self) -> None:
+        CostKind(self.cost_alpha)  # a cost_alpha a sweep spec would refuse
+
     @classmethod
     def from_json(cls, obj, where: str | None = None) -> "SweepResult":
-        """Read a sweep; an optimizer or cost_alpha that a sweep spec would
-        refuse, or a cell whose instance count or repetitions is not the
-        problem's or the sweep's, raises SchemaError."""
+        """Read a sweep; a cell whose instance count or repetitions is not the
+        problem's or the sweep's raises SchemaError."""
         sweep = super().from_json(obj, where)
         where = where or cls.__name__
-        try:
-            _optimizer_from_json(sweep.optimizer)
-            CostKind(sweep.cost_alpha)
-        except (DomainError, SchemaError) as exc:
-            raise SchemaError(f"{where}: {exc}") from None
         count = len(sweep.problem.instances())
         for index, cell in enumerate(sweep.cells):
             if len(cell.hit_calls) != count or cell.repetitions != sweep.repetitions:
@@ -259,29 +256,15 @@ class SweepResult(Record):
 # --- sweep execution ---------------------------------------------------------
 
 
-_OPTIMIZERS = {
-    config.name: config
-    for config in (opt.TrustRegionConfig, opt.HillClimbConfig, opt.GradientDescentConfig)
-}
-
-
-def _optimizer_from_json(obj: dict) -> opt.OptimizerConfig:
-    """Rebuild a config from its ``to_json`` form; absent fields take the defaults."""
-    config = _OPTIMIZERS.get(str(obj.get("name")))  # a JSON list or object is unhashable
-    if config is None:
-        raise SchemaError(f"unknown optimizer {obj.get('name')!r}")
-    return config.from_json(obj, "optimizer")
-
-
 def sweep_spec_from_json(
     obj: dict,
 ) -> tuple[ProblemSpec, opt.OptimizerConfig, CostKind, NoiseModel | None]:
     """Parse a sweep spec: the problem fields plus ``optimizer``, ``cost_alpha``
     and ``noise``.  Unknown, missing or mistyped fields raise SchemaError."""
-    hints = {**type_hints(ProblemSpec), "optimizer": dict, "cost_alpha": float,
+    hints = {**type_hints(ProblemSpec), "optimizer": opt.OptimizerConfig, "cost_alpha": float,
              "noise": NoiseModel | None}
     spec = check_fields(obj, hints, "spec", required=("family", "size", "depth"))
-    config = _optimizer_from_json(spec.pop("optimizer", {"name": opt.TrustRegionConfig.name}))
+    config = spec.pop("optimizer", opt.TrustRegionConfig())
     kind = CostKind(spec.pop("cost_alpha", 0.25))
     noise = spec.pop("noise", None)
     return ProblemSpec(**spec), config, kind, noise
@@ -432,7 +415,7 @@ def success_sweep(
         )
     return SweepResult(
         problem=problem,
-        optimizer=config.to_json(),
+        optimizer=config,
         cost_alpha=cost_kind.alpha,
         repetitions=repetitions,
         master_seed=master_seed,

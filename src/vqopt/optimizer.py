@@ -164,7 +164,8 @@ def step_hill_climb(theta: np.ndarray, step_norm: float, rng: np.random.Generato
 def step_gradient_descent(theta: np.ndarray, gradient: np.ndarray, learning_rate: float) -> np.ndarray:
     if np.shape(theta) != np.shape(gradient):
         raise DomainError("gradient shape does not match parameters")
-    return np.asarray(theta, dtype=float) - learning_rate * np.asarray(gradient, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite angle is refused where it is prepared
+        return np.asarray(theta, dtype=float) - learning_rate * np.asarray(gradient, dtype=float)
 
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -308,7 +309,8 @@ def run(
     n_iter: int,
     theta0: np.ndarray,
     noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     final_probe: bool = False,
 ) -> RunTrace:
     """Execute one optimization run and record its full trace.
@@ -319,8 +321,6 @@ def run(
     ``n_iter = 0`` the single theta0 sample decides both flags, so the
     terminal-sample and anywhere-success criteria coincide by construction.
     """
-    if rng is None:
-        raise DomainError("run needs an rng")
     if n_iter < 0:
         raise DomainError(f"n_iter must be >= 0, got {n_iter}")
     theta0 = np.asarray(theta0, dtype=float)

@@ -42,6 +42,19 @@ def test_parameter_length_mismatch():
         anz.prepare_state(vqe, np.zeros(5))
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**62, -1e300])
+def test_angles_that_are_not_finite_or_reach_2_62_are_refused(angle):
+    # one bad angle anywhere, in one state or a row of a batch, refuses the preparation
+    for spec in make_specs():
+        theta = np.zeros((3, spec.n_params))
+        theta[1, -1] = angle
+        for params in (theta[1], theta):
+            with pytest.raises(DomainError, match=r"angles must be finite with \|theta\| < 2\^62"):
+                anz.prepare_state(spec, params)
+        theta[1, -1] = math.copysign(np.nextafter(2.0**62, 0), angle)
+        anz.prepare_state(spec, theta)
+
+
 def test_vqe_identity_rotations_give_zero_state():
     vqe, _ = make_specs()
     state = anz.prepare_state(vqe, np.zeros(vqe.n_params))

@@ -425,6 +425,48 @@ _BAD_INPUTS = [
      ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
 ]
 
+# sum |J| + sum |h| just under the instance limit, float max / 2^64
+_NEAR = sys.float_info.max / 2**64 * (1 - 1e-12)
+_NEAR_BOUND = {"L": 3, "couplings": [_NEAR / 3] * 2, "fields": [_NEAR / 9] * 3}
+_GD_NEAR_BOUND = ["run", "--instance", "big.json", "--family", "qaoa", "--depth", "2", "--seed",
+                  "1", "--optimizer", "gd-finitediff", "--cost", "mean", "--shots", "3",
+                  "--iters", "30", "--out", "t.jsonl"]
+
+# an angle of 2^62 or more, however a run reaches it, is refused before a plan forms it
+_ANGLE_INPUTS = [
+    ("linear init with a dt of 1e308", {},
+     ["run", "--family", "qaoa", "--init", "linear", "--dt", "1e308", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("noisy linear init with a dt of 1e308", {"noise.json": {"t1_us": 50.0, "t2_us": 70.0}},
+     ["run", "--family", "qaoa", "--init", "linear", "--dt", "1e308", *_RUN_NOISY[1:]], 1),
+    ("linear init with a dt of 1e300", {},
+     ["run", "--family", "qaoa", "--init", "linear", "--dt", "1e300", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("random init over +-1e300", {},
+     ["run", "--init-low=-1e300", "--init-high=1e300", "--instance", "inst.json",
+      "--shots", "4", "--iters", "2", "--out", "t.jsonl"], 1),
+    ("depth sweep with a dt of 1e308", {},
+     ["depth-sweep", "--sizes", "4", "--depths", "2", "--dt", "1e308", "--out", "o"], 1),
+    ("sweep spec with a trust-region radius of 1e308",
+     {"spec.json": _bad_sweep_spec(optimizer={"name": "trust-region-dfo",
+                                              "initial_radius": 1e308})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("sweep spec with a hill-climb step norm of 1e308",
+     {"spec.json": _bad_sweep_spec(optimizer={"name": "hill-climb", "step_norm": 1e308})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    ("sweep spec with a gradient-descent learning rate of 1e308",
+     {"spec.json": _bad_sweep_spec(family="vqe-ry-cnot",
+                                   optimizer={"name": "gradient-descent",
+                                              "learning_rate": 1e308})},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
+    # gradient descent drives these angles to ~1e287, as the gradient scales with the energies
+    ("qaoa gradient descent near the energy bound", {"big.json": _NEAR_BOUND},
+     _GD_NEAR_BOUND, 1),
+    ("noisy qaoa gradient descent near the energy bound",
+     {"big.json": _NEAR_BOUND, "noise.json": {"t1_us": 50.0, "t2_us": 70.0}},
+     [*_GD_NEAR_BOUND, "--noise", "noise.json"], 1),
+]
+_BAD_INPUTS += _ANGLE_INPUTS
 
 # the stderr line of these cases must name the rule that was broken
 _BAD_INPUT_MESSAGES = {
@@ -476,12 +518,13 @@ _BAD_INPUT_MESSAGES = {
     "run with 2^60 shots": f"2 x {1 << 60} uniforms exceed the 2^60 one array holds",
     "depth sweep with 10^20 repetitions": f"{10**20} x 16 uniforms exceed the 2^60",
     "report on a sweep result of an unknown optimizer":
-        "sweeps/sweep_L4.json: unknown optimizer 'bogus'",
+        "unknown sweeps/sweep_L4.json.optimizer name 'bogus'",
     "report on a sweep result with a cost_alpha of 7.5":
         "sweeps/sweep_L4.json: alpha must be in (0, 1], got 7.5",
     "report on a sweep cell of other repetitions than the sweep's":
         "cells[0] has 1 instances and 3 repetitions where the sweep has 1 and 2",
-    "spec optimizer named by a list": "unknown optimizer ['hill-climb']",
+    "spec optimizer named by a list": "unknown spec.optimizer name ['hill-climb']",
+    **{case: "angles must be finite with |theta| < 2^62" for case, *_ in _ANGLE_INPUTS},
 }
 
 
@@ -494,7 +537,8 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, code)
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
-    _assert_one_stderr_line(_python(tmp_path, "-m", "vqopt", *argv), code,
+    # under -W error a numpy warning on the way ends in a traceback, which fails the case
+    _assert_one_stderr_line(_python(tmp_path, "-W", "error", "-m", "vqopt", *argv), code,
                             _BAD_INPUT_MESSAGES.get(case, ""))
 
 

@@ -291,6 +291,16 @@ def test_multi_cell_sweep_equals_one_cell_sweeps(name, noisy, probe):
         assert sweep.cells[index] == alone.cells[0], (shots, iters)
 
 
+@pytest.mark.parametrize("name", list(_SHARING_OPTIMIZERS))
+def test_saved_sweep_reads_back_its_optimizer_config(tmp_path, name):
+    # the file holds the config's own object, and reading it picks the config by its name
+    config = _SHARING_OPTIMIZERS[name]
+    path = tmp_path / "sweep.json"
+    exp.save_result(_sharing_sweep(name, [(4, 1)]), path)
+    assert json.loads(path.read_text())["optimizer"] == config.to_json()
+    assert exp.load_result(path).optimizer == config
+
+
 @pytest.mark.parametrize("name, extra_runs", [("trust-region", 0), ("gd-finite-diff", 1)])
 def test_sweep_runs_each_m_once_at_its_longest_n_iter(monkeypatch, name, extra_runs):
     # per (instance, M, repetition): one run at the longest n_iter, plus, for

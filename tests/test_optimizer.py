@@ -62,6 +62,9 @@ def test_step_gradient_descent():
     assert np.allclose(two, -2 * 0.1 * g)
     with pytest.raises(DomainError):
         opt.step_gradient_descent(np.zeros(2), np.zeros(3), 0.1)
+    # a step that overflows gives, without a warning, an infinite angle that prepare_state refuses
+    over = opt.step_gradient_descent(np.ones(2), np.array([2.0, -4.0]), 1e308)
+    assert over.tolist() == [-math.inf, math.inf]
 
 
 def minimize(rounds, objective):
