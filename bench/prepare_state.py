@@ -19,9 +19,9 @@ rotates every qubit once.  ``mixer_layer`` and ``phase`` rows: one step of
 an ideal QAOA plan, in milliseconds: the mixer layer (every qubit's RX,
 cache-blocked) at L in {16, 17, 18, 19, 20} and the diagonal problem phase
 at L in {10, 12, 16, 18, 20}, the two steps of one layer.  ``energy_table``
-rows: one fresh table per call at L in {12, 16, 18, 20}, in milliseconds,
-with the tracemalloc peak of one build in MB (the 8 B/entry table
-included).
+rows: one fresh table per call at L in {12, 14, 16, 18, 20}, in
+milliseconds, with the tracemalloc peak of one build in MB (the 8 B/entry
+table included); L = 14 is the largest table built as one chunk.
 
 Each timed row is the median over REPEATS batches of the time per call;
 a batch times enough calls to last about BATCH_MS milliseconds, and at
@@ -63,7 +63,7 @@ SIZES = (6, 8, 10, 12)
 DEPTH = 2
 LARGE_SIZES = (16, 18, 20)
 LARGE_DEPTH = 8
-TABLE_SIZES = (12, 16, 18, 20)
+TABLE_SIZES = (12, 14, 16, 18, 20)
 ROTATION_SIZES = (8, 10, 12, 14)
 MIXER_SIZES = (16, 17, 18, 19, 20)
 PHASE_SIZES = (10, 12, 16, 18, 20)

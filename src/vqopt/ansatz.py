@@ -113,6 +113,10 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
             f"expected {spec.n_params} parameters for {spec.family}, "
             f"got shape {theta.shape}"
         )
+    return _check_angles(theta)
+
+
+def _check_angles(theta: np.ndarray) -> np.ndarray:
     # NaN fails too; as sum |J| + sum |h| < float max / 2^64, |theta| < 2^62 keeps
     # every angle a plan forms (gamma E, 2 J gamma, 2 h gamma, 2 beta) < max / 2
     if not (largest := np.abs(theta).max()) < 2.0**62:
@@ -123,7 +127,8 @@ def _check_params(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
 class Plan(NamedTuple):
     """A circuit compiled for one noise model.  ``start(angles)`` makes the
     initial state, of ``dtype``, and each step, called as ``step(state,
-    angles, draws)``, acts on it in order.  ``angles[i]`` is parameter i, a
+    angles, draws)``, acts on it in order, in place or by returning the
+    state it leaves.  ``angles[i]`` is parameter i, a
     float for one state or a column of P values for a batch; ``draws[i]`` is
     likewise uniform i of the ``draws`` that one state's relaxations take."""
 
@@ -218,8 +223,7 @@ def _cnot(control, state, angles, draws):
 
 
 def _permute(perm, state, angles, draws):
-    # steps act on the state in place, so the gather is copied back into it
-    state[...] = np.take(state, perm, axis=-1)
+    return np.take(state, perm, axis=-1)
 
 
 def _relax(qubit, channel, part, state, angles, draws):
@@ -328,7 +332,8 @@ def prepare_state(
         draws = draws.T
     state = plan.start(angles)
     for step in plan.steps:
-        step(state, angles, draws)
+        new = step(state, angles, draws)
+        state = state if new is None else new
     return state[None] if one_row else state
 
 
@@ -345,7 +350,8 @@ def init_random(
 
 
 def init_linear_schedule(depth: int, dt: float) -> np.ndarray:
-    """Annealing-style QAOA start: theta_P^l = (l/d) dt, theta_M^l = (1 - l/d) dt."""
+    """Annealing-style QAOA start: theta_P^l = (l/d) dt, theta_M^l = (1 - l/d) dt,
+    refused unless every angle is below the 2^62 that a plan can form."""
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if not 0 < dt < math.inf:  # NaN fails too
@@ -354,4 +360,4 @@ def init_linear_schedule(depth: int, dt: float) -> np.ndarray:
     theta = np.empty(2 * depth)
     theta[0::2] = steps * dt
     theta[1::2] = (1.0 - steps) * dt
-    return theta
+    return _check_angles(theta)

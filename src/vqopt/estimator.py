@@ -124,13 +124,19 @@ def sample_round(
     return sets
 
 
-def draw_uniforms(rng: np.random.Generator, rows: int, shots: int, draws: int = 0) -> np.ndarray:
-    """``rows`` rows of ``draws`` preparation uniforms, then ``shots`` shot uniforms,
-    in one call; refused before drawing when shots or the array is too large."""
+def check_uniforms(rows: int, shots: int, draws: int = 0) -> None:
+    """Refuse a shot count outside [1, 2^63), and ``rows`` rows of ``draws +
+    shots`` uniforms that reach the 2^60 doubles one array holds."""
     if not 1 <= shots < MAX_SHOTS:
         raise DomainError(f"shots must be in [1, 2^63), got {shots}")
     if rows * (draws + shots) >= MAX_UNIFORMS:
         raise CapacityError(f"{rows} x {draws + shots} uniforms exceed the 2^60 one array holds")
+
+
+def draw_uniforms(rng: np.random.Generator, rows: int, shots: int, draws: int = 0) -> np.ndarray:
+    """``rows`` rows of ``draws`` preparation uniforms, then ``shots`` shot uniforms,
+    in one call; refused by :func:`check_uniforms` before drawing."""
+    check_uniforms(rows, shots, draws)
     return rng.random((rows, draws + shots))
 
 

@@ -40,13 +40,14 @@ from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, AnsatzSpec
 from .codec import Record, check_fields, read_json, type_hints, write_atomic
 from .errors import DomainError, SchemaError
-from .estimator import CostKind, draw_uniforms
+from .estimator import CostKind, check_uniforms, draw_uniforms
 from .ising import (
     FERROMAGNETIC,
     GroundTruth,
     IsingInstance,
     brute_force_minimum,
     check_kind,
+    check_size,
     make_instances,
 )
 from .simulator import NoiseModel, sample_shots
@@ -602,7 +603,8 @@ def depth_sweep(
     Records both the exact ground-state Born probability of each state and
     the fraction of R M-shot repetitions that saw a minimizer, drawn by
     :func:`~vqopt.simulator.sample_shots` from R x M uniforms.  Sizes and
-    depths must each differ.
+    depths must each differ.  Every input is checked before the first
+    instance is built, so bad input costs no energy table or preparation.
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
@@ -611,14 +613,19 @@ def depth_sweep(
     for name, values in (("sizes", sizes), ("depths", depths)):
         if len(set(values)) < len(values):  # its cells would be run twice
             raise DomainError(f"depth sweep {name} must differ, got {list(values)}")
+    for size in sizes:
+        check_size(size)
+    # the schedules refuse a depth below 1, and a dt that is not positive or
+    # whose angles a plan cannot form
+    thetas = [anz.init_linear_schedule(depth, dt) for depth in depths]
+    check_uniforms(repetitions, shots)
     cells = []
     for size in sizes:
         instances = make_instances(size, kind, instance_seeds)
         grounds = [brute_force_minimum(inst) for inst in instances]
-        for depth in depths:
+        for depth, theta in zip(depths, thetas):
             p_gs: list[float] = []
             fsucc: list[float] = []
-            theta = anz.init_linear_schedule(depth, dt)
             for inst_idx, instance in enumerate(instances):
                 spec = AnsatzSpec(FAMILY_QAOA, size, depth, instance=instance)
                 state = anz.prepare_state(spec, theta)

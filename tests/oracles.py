@@ -32,6 +32,23 @@ def naive_energy(couplings, fields, x: int, size: int) -> float:
     return total
 
 
+def int8_energy_table(couplings, fields, chunk: int) -> np.ndarray:
+    """The energy table built chunk by chunk from int8 spins, rebuilt for every
+    chunk of ``chunk`` rows (the package's earlier form; it must give the same
+    bits for the same chunk)."""
+    size = len(fields)
+    total = 1 << size
+    table = np.empty(total)
+    shifts = np.arange(size)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        bits = (np.arange(lo, hi)[:, None] >> shifts) & 1
+        s = (1 - 2 * bits).astype(np.int8)
+        bonds = (s[:, :-1] * s[:, 1:]) @ couplings
+        table[lo:hi] = -bonds - s @ fields
+    return table
+
+
 def kron_on(op: np.ndarray, qubits: tuple[int, ...], size: int) -> np.ndarray:
     """Embed a 1- or 2-qubit operator into the full 2^size space.
 

@@ -411,6 +411,16 @@ _BAD_INPUTS = [
       "--out", "t.jsonl"], 1),
     ("depth sweep with 10^20 repetitions", {},
      ["depth-sweep", "--depths", "1", "--sizes", "4", "--reps", str(10**20), "--out", "o"], 1),
+    # a bad size, depth or shot count is refused before the valid L = 20, d = 8
+    # cell ahead of it builds a table and a state
+    ("depth sweep with a size past the cap after a valid one", {},
+     ["depth-sweep", "--sizes", "20,25", "--depths", "8", "--out", "o"], 1),
+    ("depth sweep with a size of 1 after a valid one", {},
+     ["depth-sweep", "--sizes", "20,1", "--depths", "8", "--out", "o"], 1),
+    ("depth sweep with a zero depth after a valid one", {},
+     ["depth-sweep", "--sizes", "20", "--depths", "8,0", "--out", "o"], 1),
+    ("depth sweep at L = 20 with zero shots", {},
+     ["depth-sweep", "--sizes", "20", "--depths", "8", "--shots", "0", "--out", "o"], 1),
     ("report on a sweep result of an unknown optimizer",
      {"sweeps/sweep_L4.json": {**_bad_sweep_result(), "optimizer": {"name": "bogus"}}},
      ["report", "--in", "sweeps/sweep_L4.json", "--out", "r"], 1),
@@ -517,6 +527,11 @@ _BAD_INPUT_MESSAGES = {
         "so must sum |J| + sum |h|, got 1e+308, below 9.74531e+288",
     "run with 2^60 shots": f"2 x {1 << 60} uniforms exceed the 2^60 one array holds",
     "depth sweep with 10^20 repetitions": f"{10**20} x 16 uniforms exceed the 2^60",
+    "depth sweep with a size past the cap after a valid one":
+        "exhaustive enumeration capped at 24 spins, got 25",
+    "depth sweep with a size of 1 after a valid one": "need at least 2 spins, got 1",
+    "depth sweep with a zero depth after a valid one": "depth must be >= 1, got 0",
+    "depth sweep at L = 20 with zero shots": "shots must be in [1, 2^63), got 0",
     "report on a sweep result of an unknown optimizer":
         "unknown sweeps/sweep_L4.json.optimizer name 'bogus'",
     "report on a sweep result with a cost_alpha of 7.5":

@@ -8,7 +8,7 @@ import pytest
 
 from vqopt import ansatz as anz, estimator as est, experiment as exp, ising, optimizer as opt
 from vqopt import simulator as sim
-from vqopt.errors import DomainError, SchemaError
+from vqopt.errors import DomainError, SchemaError, VqoptError
 
 
 def small_sweep(**kw):
@@ -444,6 +444,23 @@ def test_depth_sweep_rejects_bad_arguments():
                 {"kind": "disordered", "instance_seeds": ()}, {"sizes": []}, {"depths": []}):
         with pytest.raises(DomainError):
             exp.depth_sweep(**{**args, **bad})
+
+
+@pytest.mark.parametrize("bad", [{"sizes": [20, 25]}, {"sizes": [20, 1]}, {"depths": [8, 0]},
+                                 {"dt": math.nan}, {"dt": 2.0**62}, {"shots": 0},
+                                 {"shots": 1 << 63}, {"repetitions": 1 << 58}],
+                         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_depth_sweep_refuses_bad_input_before_any_work(monkeypatch, bad):
+    # each bad value follows a valid first size and depth, whose L = 20 table
+    # and d = 8 preparation would take about a second
+    def work(*args, **kwargs):
+        raise AssertionError("an energy table or state was built before the input check")
+
+    monkeypatch.setattr(ising, "energy_table", work)
+    monkeypatch.setattr(anz, "prepare_state", work)
+    args = dict(sizes=[20], depths=[8], dt=0.8, shots=4, repetitions=2, master_seed=0)
+    with pytest.raises(VqoptError):
+        exp.depth_sweep(**{**args, **bad})
 
 
 def test_depth_sweep_disordered_percentiles():

@@ -7,7 +7,7 @@ import pytest
 from vqopt import ising
 from vqopt.errors import CapacityError, DomainError, SchemaError
 
-from oracles import naive_energy
+from oracles import int8_energy_table, naive_energy
 
 
 def test_ferromagnetic_energy_examples():
@@ -117,13 +117,39 @@ def test_energy_table_consistency():
         assert table[x] == pytest.approx(ising.energy(inst, int(x)))
 
 
-@pytest.mark.parametrize("size", [12, 16])
+@pytest.mark.parametrize("size", [12, 16, 17])  # 17: an odd number of high bits
 def test_energy_table_independent_of_chunk(monkeypatch, size):
     want = ising.energy_table(ising.make_disordered(size, 3))
     for chunk in (1 << 4, 1 << 10, 1 << size):
         monkeypatch.setattr(ising, "_TABLE_CHUNK", chunk)
         got = ising.energy_table(ising.make_disordered(size, 3))  # a fresh, uncached instance
         assert got.tobytes() == want.tobytes(), chunk
+
+
+def _table_chains(size):
+    """Two disordered chains, the ferromagnetic chain and one of +-0.0 couplings and fields."""
+    signed_zeros = np.random.default_rng(size).choice([0.0, -0.0], 2 * size - 1)
+    return [ising.make_disordered(size, size), ising.make_disordered(size, size + 100),
+            ising.make_ferromagnetic(size),
+            ising.IsingInstance(size, signed_zeros[:size - 1], signed_zeros[size - 1:])]
+
+
+# chunks of 2^4 rows stop at L = 14, ten high bits of Gray code (L 15-20 would
+# add about 12 s), and a table of one chunk at L = 18 (both sides of a 2^20-row
+# chunk would hold about 0.5 GB)
+@pytest.mark.parametrize("chunk_bits, sizes", [(4, range(2, 15)), (10, [*range(2, 19), 20]),
+                                               (14, [*range(2, 19), 20]), (None, range(2, 19))],
+                         ids=["chunk 2^4", "chunk 2^10", "chunk 2^14", "one chunk"])
+def test_energy_table_matches_int8_build_bitwise(monkeypatch, chunk_bits, sizes):
+    # the same chunk on both sides: a matrix-vector product's sums depend on
+    # its row count, so a table is only bit-equal to one of the same chunks
+    for size in sizes:
+        chunk = 1 << (size if chunk_bits is None else chunk_bits)
+        monkeypatch.setattr(ising, "_TABLE_CHUNK", chunk)
+        for instance in _table_chains(size):
+            want = int8_energy_table(instance.couplings, instance.fields, chunk)
+            got = ising.energy_table(instance)
+            assert got.tobytes() == want.tobytes(), (size, chunk, instance.couplings[:2])
 
 
 def test_global_spin_flip_symmetry_without_fields():
