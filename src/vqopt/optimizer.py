@@ -20,9 +20,14 @@ grouped; a gradient round is scored with the mean and records one row,
 carrying the mean energy of all the round's shots.  ``run`` checks its
 arguments, picks the generator, and drives one trace, sampling each
 round's points together (``estimator.sample_round``); a driver of many
-runs can tell each its own sets.  A run with ``n_iter = 0`` performs a
-single M-shot measurement of theta0 and no optimization, which is the
-smallest run that can still observe success.
+runs can tell each its own sets.  ``run`` holds the state of its last
+one-point ideal round, so when the trust region, stalled at
+``final_radius``, asks for that point again, or the final probe measures
+it, fresh shots are drawn from that state without preparing it again;
+noisy states, which take their own draws, are prepared every time.  A
+run with ``n_iter = 0`` performs a single M-shot measurement of theta0
+and no optimization, which is the smallest run that can still observe
+success.
 """
 
 from __future__ import annotations
@@ -213,7 +218,9 @@ def trust_region_rounds(
     of length rho against the interpolated gradient, geometry refreshes
     that pull the farthest vertex back to distance rho from the best point,
     or random probes when the model is flat.  rho halves whenever a move
-    fails to improve the best value, never below ``final_radius``.
+    fails to improve the best value, never below ``final_radius``.  There a
+    stalled simplex, whose estimates do not move it, proposes the same point
+    again, round after round.
 
     Returns the best point and its recorded value.
     """
@@ -348,13 +355,14 @@ def run(
 
     table = energy_table(instance)
     trace = RunTrace(rounds, ground.minimizers, kind, gradient)
+    held: dict = {}  # the state of the last one-point ideal round, for a repeat of it
     while trace.points is not None:
-        trace.tell(sample_round(spec, trace.points, table, per_point, noise, rng))
+        trace.tell(sample_round(spec, trace.points, table, per_point, noise, rng, held))
 
     if final_probe and n_iter > 0:
         # terminal measurement only, scored by a tracker of its own so that
         # success/first_hit_calls reflect the optimization loop alone
-        (probe,) = sample_round(spec, trace.final_theta[None], table, shots, noise, rng)
+        (probe,) = sample_round(spec, trace.final_theta[None], table, shots, noise, rng, held)
         trace.psucc_hit = MinimumTracker(ground.minimizers).observe(probe)
         trace.probe_shots = shots
     return trace

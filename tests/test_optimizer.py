@@ -342,6 +342,99 @@ def test_interleaved_run_traces_equal_sequential_runs(config):
             alone.first_hit_calls, alone.psucc_hit, alone.n_calls, alone.f_min)
 
 
+# --- the held state of a repeated ideal point -------------------------------
+
+
+def _stalling_setup():
+    """QAOA L = 4, d = 2 under the trust region: at n_iter = 100 it reaches
+    final_radius and asks for its last point again, round after round."""
+    inst = ising.make_disordered(4, 3)
+    spec = anz.AnsatzSpec(anz.FAMILY_QAOA, 4, 2, instance=inst)
+    return spec, inst, ising.brute_force_minimum(inst), opt.TrustRegionConfig()
+
+
+def _spy_rounds(monkeypatch):
+    """Record each round ``run`` samples and each batch of rows it prepares."""
+    rounds, prepared = [], []
+    sample_round, prepare_state = est.sample_round, est.prepare_state
+
+    def round_spy(spec, points, *args):
+        rounds.append(np.array(points, dtype=float))
+        return sample_round(spec, points, *args)
+
+    def prepare_spy(spec, theta, *args):
+        prepared.append(np.array(theta, dtype=float, ndmin=2))
+        return prepare_state(spec, theta, *args)
+
+    monkeypatch.setattr(opt, "sample_round", round_spy)
+    monkeypatch.setattr(est, "prepare_state", prepare_spy)
+    return rounds, prepared
+
+
+def test_run_with_held_state_equals_rounds_sampled_without_it(tmp_path):
+    spec, inst, ground, config = _stalling_setup()
+    paths = []
+    for memo in (True, False):
+        rng = np.random.default_rng(2311)
+        theta0 = anz.init_random(spec, rng)
+        if memo:
+            trace = opt.run(spec, inst, ground, config, est.CVAR25, 6, 100, theta0,
+                            rng=rng, final_probe=True)
+        else:  # round by round, every point prepared
+            table = ising.energy_table(inst)
+            rounds = opt.trust_region_rounds(
+                theta0, 100, config.initial_radius, config.final_radius, rng)
+            trace = opt.RunTrace(rounds, ground.minimizers, est.CVAR25, False)
+            while trace.points is not None:
+                trace.tell(est.sample_round(spec, trace.points, table, 6, None, rng))
+            (probe,) = est.sample_round(spec, trace.final_theta[None], table, 6, None, rng)
+            trace.psucc_hit = est.MinimumTracker(ground.minimizers).observe(probe)
+            trace.probe_shots = 6
+        paths.append(tmp_path / f"trace-{memo}.jsonl")
+        opt.write_trace(paths[-1], trace, {"seed": 2311})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_run_prepares_only_points_that_differ_from_the_last_round(monkeypatch):
+    spec, inst, ground, config = _stalling_setup()
+    rounds, prepared = _spy_rounds(monkeypatch)
+    rng = np.random.default_rng(2312)
+    trace = opt.run(spec, inst, ground, config, est.MEAN, 6, 100, anz.init_random(spec, rng),
+                    rng=rng, final_probe=True)
+    expected = [points for last, points in zip([None] + rounds, rounds)
+                if not (last is not None and len(last) == len(points) == 1
+                        and last.tobytes() == points.tobytes())]
+    assert len(rounds) == len(trace.records) - spec.n_params + 1  # simplex, steps, probe
+    assert np.concatenate(prepared).tobytes() == np.concatenate(expected).tobytes()
+    assert sum(map(len, expected)) < 0.6 * len(trace.records)  # the run did stall
+
+
+def test_noisy_run_prepares_every_evaluation(monkeypatch):
+    spec, inst, ground, config = _stalling_setup()
+    rounds, prepared = _spy_rounds(monkeypatch)
+    rng = np.random.default_rng(2313)
+    trace = opt.run(spec, inst, ground, config, est.MEAN, 6, 100, anz.init_random(spec, rng),
+                    noise=sim.NoiseModel(t1_us=2.0, t2_us=3.0), rng=rng, final_probe=True)
+    repeats = sum(last.tobytes() == points.tobytes() for last, points in zip(rounds, rounds[1:]))
+    assert repeats > 0  # the same points, each prepared with its own draws
+    assert sum(map(len, prepared)) == len(trace.records) + 1
+
+
+def test_held_state_is_read_only_and_kept_for_one_point():
+    spec, inst, _, _ = _stalling_setup()
+    table, rng, held = ising.energy_table(inst), np.random.default_rng(2314), {}
+    zero = np.zeros((1, spec.n_params))
+    est.sample_round(spec, zero, table, 5, None, rng, held)
+    (key, state), = held.items()
+    assert key == zero.tobytes() and not state.flags.writeable
+    with pytest.raises(ValueError):
+        state[0] = 0.0
+    est.sample_round(spec, -zero, table, 5, None, rng, held)  # -0.0 is another point
+    assert list(held) == [(-zero).tobytes()] and held[(-zero).tobytes()] is not state
+    est.sample_round(spec, np.zeros((2, spec.n_params)), table, 5, None, rng, held)
+    assert held == {}
+
+
 def test_run_determinism_byte_for_byte(tmp_path):
     spec, inst, ground = _run_setup()
     paths = []
@@ -499,6 +592,14 @@ _PIN_DIGESTS = {
     "hc-40-probe-ideal-cvar25": "ccc803fcf4e738ed5303372018131d5de5734eff945cf21685ec3453022c0169",
     "hc-40-probe-noisy-mean": "2f4d1d5baeea118d159c51579cb4446545a8872cf4100acdc0814f9de6234314",
     "hc-40-probe-noisy-cvar25": "648233cbd783d7e70ada58ab5b350f98f1a81c35b17691765cb49c46dca66079",
+    "tr-100-noprobe-ideal-mean": "d2eb5b83abd7c7c45dd2383cedad8ee6c8d427efd5ba12e3ecfdcd91640a78f1",
+    "tr-100-noprobe-ideal-cvar25": "ab2a916ad4be892d66ff3364391824418142df486588f8284b595e56a90e33f1",
+    "tr-100-probe-ideal-mean": "d43eb8b68964fbc1c274b4077b5c36f8156811d57a90ed18f3cec809c94befe8",
+    "tr-100-probe-ideal-cvar25": "3391f8112ce226d3d5bd3a29d4d90652fa60a216566274e20ef940cc7178e0dc",
+    "tr-vqe-100-noprobe-ideal-mean": "8242703107dba3e6c824ef7a928f4e77cbbe88ddb7825a353da3013548555511",
+    "tr-vqe-100-noprobe-ideal-cvar25": "dc62fad2b7fc36dfd98dca00440c813e17162a0985ba640d2f0990ed63b03e0c",
+    "tr-vqe-100-probe-ideal-mean": "2081a768017fcc8c9bbdff6a71437709f77fb41cc60f3ed3a4ab0cfa9338a7a9",
+    "tr-vqe-100-probe-ideal-cvar25": "b8110c65fcce777553e0c3016ce3ed61a6ab5ab47e7ac2a68b2c004d0e6669bc",
 }
 
 
@@ -532,6 +633,13 @@ _PIN_CASES = [
     for name in ("tr", "tr-vqe", "hc")
     for probe in (False, True)
     for noisy in (False, True)
+    for cost_name in ("mean", "cvar25")
+] + [
+    # stalled at final_radius, the trust region asks for its last point again,
+    # whose ideal state the run samples without preparing it anew
+    (name, 100, probe, False, cost_name)
+    for name in ("tr", "tr-vqe")
+    for probe in (False, True)
     for cost_name in ("mean", "cvar25")
 ]
 
