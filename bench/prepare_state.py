@@ -3,7 +3,10 @@ written to BENCH_prepare_state.json.
 
 ``prepare_state`` rows: family {vqe, qaoa} x {ideal, noisy} x L in
 {6, 8, 10, 12} at depth 2, plus ideal QAOA at L in {16, 18, 20}, depth 8
-(the states of the large-L depth sweep, 1-16 MB).  ``prepare_batch``
+(the states of the large-L depth sweep, 1-16 MB).  ``linear`` rows:
+``prepare_state`` of ideal QAOA from ``init_linear_schedule(d, 0.8)``, the
+depth sweep's start, whose last mixer angle is 0, at L in {12, 16, 18,
+20} and d in {2, 4, 8}.  ``prepare_batch``
 rows: the same families, noise and sizes at depth 2 with P in {1, 5, 31,
 2 n_par} points, in microseconds per state: one ``prepare_state`` call on
 the (P, n_par) batch.  Every call draws the uniforms of its relaxations
@@ -21,7 +24,7 @@ cache-blocked) at L in {16, 17, 18, 19, 20} and the diagonal problem phase
 at L in {10, 12, 16, 18, 20}, the two steps of one layer.  ``energy_table``
 rows: one fresh table per call at L in {12, 14, 16, 18, 20}, in
 milliseconds, with the tracemalloc peak of one build in MB (the 8 B/entry
-table included); L = 14 is the largest table built as one chunk.
+table included); L = 12 is the largest table built as one chunk.
 
 Each timed row is the median over REPEATS batches of the time per call;
 a batch times enough calls to last about BATCH_MS milliseconds, and at
@@ -63,6 +66,9 @@ SIZES = (6, 8, 10, 12)
 DEPTH = 2
 LARGE_SIZES = (16, 18, 20)
 LARGE_DEPTH = 8
+LINEAR_SIZES = (12, 16, 18, 20)
+LINEAR_DEPTHS = (2, 4, 8)
+LINEAR_DT = 0.8
 TABLE_SIZES = (12, 14, 16, 18, 20)
 ROTATION_SIZES = (8, 10, 12, 14)
 MIXER_SIZES = (16, 17, 18, 19, 20)
@@ -123,13 +129,16 @@ def make_case(vq, layer: str, family: str, noisy: bool, size: int, depth: int, p
         instance = ising.make_disordered(size, 0)
         ising.energy_table(instance)
         spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=instance)
-    theta = anz.init_random(spec, np.random.default_rng(size))
+    if layer == "linear":
+        theta = anz.init_linear_schedule(depth, LINEAR_DT)
+    else:
+        theta = anz.init_random(spec, np.random.default_rng(size))
     noise = sim.NoiseModel(t1_us=50.0, t2_us=70.0) if noisy else None
     rng = np.random.default_rng(7)
     # each call draws its uniforms, as a sampling round does, and passes them
     # positionally, which a tree whose fourth parameter is named rng accepts too
     draws = anz.compile_plan(spec, noise).draws
-    if layer == "prepare_state":
+    if layer in ("prepare_state", "linear"):
         return lambda: anz.prepare_state(spec, theta, noise, rng.random(draws))
     batch = np.stack([anz.init_random(spec, np.random.default_rng([size, r]))
                       for r in range(batch_points(spec.n_params, points))])
@@ -163,6 +172,8 @@ def table_rows() -> list[tuple]:
     rows = [("prepare_state", family, noisy, size, DEPTH) for family in ("vqe", "qaoa")
             for noisy in (False, True) for size in SIZES]
     rows += [("prepare_state", "qaoa", False, size, LARGE_DEPTH) for size in LARGE_SIZES]
+    rows += [("linear", "qaoa", False, size, depth) for size in LINEAR_SIZES
+             for depth in LINEAR_DEPTHS]
     rows += [("prepare_batch", family, noisy, size, DEPTH, points) for family in ("vqe", "qaoa")
              for noisy in (False, True) for size in SIZES for points in BATCH_POINTS]
     rows += [("ry_layer", "vqe", False, size, None) for size in SIZES]

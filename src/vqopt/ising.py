@@ -26,10 +26,11 @@ DISORDERED = "disordered"
 # 2^L arrays stop being desk-scale.
 MAX_QUBITS = 24
 
-# Rows of the energy table built at once, a power of two above 1: at 2^14 the
-# (rows, L) spin and bond blocks stay a few MB, where 2^18 rows peaked at 135 MB
-# for L = 20.
-_TABLE_CHUNK = 1 << 14
+# Rows of the energy table built at once, a power of two above 1: at 2^12 the
+# (rows, L) spin and bond blocks of L = 20 take 1.3 MB and stay in a 2 MB L2
+# cache, where 2^14 rows streamed 5 MB per chunk (a fresh L = 20 table took
+# 18.6 ms against 31.2 ms) and 2^18 rows peaked at 135 MB.
+_TABLE_CHUNK = 1 << 12
 
 _MAX_ENERGY = sys.float_info.max / 2**64  # sum |J| + sum |h| stays below it
 
@@ -182,10 +183,11 @@ def energy_table(instance: IsingInstance) -> np.ndarray:
     products.  Row-count rule: every product has exactly ``rows`` rows.
     BLAS may sum a row in another order when the row count changes (with
     numpy 2.4.6's OpenBLAS, chunks of 1-3 or 5-7 rows changed bits against
-    2^14, chunks of 4, 8, 12, 100 or 1001 did not), so the bits hold only
-    for the same row count.  With it, the table equals, bit for bit, one
-    built chunk by chunk from int8 spins in chunks of ``rows``, as numpy
-    casts those to float64 before BLAS.
+    2^14; chunks of 4, 8, 12, 16, 100, 1001, 2^10, 2^12 and 2^L did not), so
+    a new row count is taken only once its tables match the old count's bit
+    for bit (2^12 matched 2^14 at L 12-20).  With it, the table equals, bit
+    for bit, one built chunk by chunk from int8 spins in chunks of ``rows``,
+    as numpy casts those to float64 before BLAS.
     """
     cached = getattr(instance, "_energy_table", None)
     if cached is not None:

@@ -357,3 +357,74 @@ def test_linear_schedule_monotone():
     for dt in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             anz.init_linear_schedule(2, dt)
+
+
+def _signed_zero_chain(size):
+    zeros = np.random.default_rng(size).choice([0.0, -0.0], 2 * size - 1)
+    return ising.IsingInstance(size, zeros[:size - 1], zeros[size - 1:])
+
+
+@pytest.mark.parametrize("size", [3, 12, 15, 16])
+def test_linear_schedule_states_match_reference_bitwise(size):
+    # the schedule's last mixer angle is 0, so that layer is skipped where no
+    # real or imaginary part of the state is zero; the bits are those of running it
+    for inst in (ising.make_disordered(size, size), _signed_zero_chain(size)):
+        for depth in (1, 2, 4):
+            spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=inst)
+            theta = anz.init_linear_schedule(depth, 0.8)
+            want = reference_state(spec, theta)
+            assert anz.prepare_state(spec, theta).tobytes() == want.tobytes()
+            skipped = np.stack([theta, 0.5 * theta, -theta])  # last angles 0, 0, -0
+            rotated = skipped.copy()
+            rotated[1, -1] = 0.25  # one row's last mixer angle is not zero
+            for batch in (skipped, rotated):
+                for row, angles in zip(anz.prepare_state(spec, batch), batch):
+                    assert row.tobytes() == reference_state(spec, angles).tobytes()
+
+
+@pytest.mark.parametrize("size, per_layer", [(12, 12), (16, 4 * 14 + 4 * 2)])
+def test_zero_mixer_layer_runs_only_where_it_could_change_a_bit(monkeypatch, size, per_layer):
+    # per_layer: the apply_rx calls of one mixer layer on one state (above 14
+    # qubits, 14 per chunk and the high qubits per tile, row by row); up to 14
+    # qubits a batch rotates as a whole
+    counts = spy_on(monkeypatch, "apply_rx")
+    batch_layer = per_layer if size <= 14 else 3 * per_layer
+    for depth in (1, 2, 4):
+        theta = anz.init_linear_schedule(depth, 0.8)
+        skipped = np.stack([theta, 0.5 * theta, -theta])
+        rotated = skipped.copy()
+        rotated[1, -1] = 0.25  # the last mixer angles are not all zero
+        disordered = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth,
+                                    instance=ising.make_disordered(size, 1))
+        # states with zero parts, where RX(0) may flip a zero's sign: |+> under
+        # zero angles throughout, and |+> under the phase of a +-0 table, which
+        # at d = 1 meets the zero mixer before any other mixer turns it
+        zeros = anz.AnsatzSpec(anz.FAMILY_QAOA, size, depth, instance=_signed_zero_chain(size))
+        for spec, angles, calls in ((disordered, theta, (depth - 1) * per_layer),
+                                    (disordered, skipped, (depth - 1) * batch_layer),
+                                    (disordered, rotated, depth * batch_layer),
+                                    (disordered, np.zeros_like(theta), depth * per_layer),
+                                    (zeros, -np.zeros_like(theta), depth * per_layer),
+                                    (zeros, theta, (depth - 1 or 1) * per_layer)):
+            counts.clear()
+            anz.prepare_state(spec, angles)
+            assert counts["apply_rx"] == calls, (spec.instance.seed, angles.shape)
+
+
+@pytest.mark.parametrize("size", [4, 16])
+def test_zero_mixer_layer_keeps_rx_bits_on_signed_zero_parts(size):
+    # RX(+-0) turns a -0 part next to a nonzero one into +0 (x*0 + -0*1 = +0),
+    # so a zero-angle layer on such a state must run, not be skipped
+    spec = anz.AnsatzSpec(anz.FAMILY_QAOA, size, 1, instance=ising.make_disordered(size, 0))
+    mixer = anz.compile_plan(spec).steps[1]  # (phase, mixer layer)
+    rng = np.random.default_rng(size)
+    for beta in (0.0, -0.0):
+        for part in ("real", "imag"):
+            state = rng.standard_normal(1 << size) * (1.0 + 0j if part == "real" else 1j)
+            setattr(state, "imag" if part == "real" else "real", -0.0)
+            want = state.copy()
+            for j in range(size):
+                sim.apply_rx(want, j, 2.0 * beta)
+            assert want.tobytes() != state.tobytes()  # the signs of zeros move
+            mixer(state, np.array([0.3, beta]), None)
+            assert state.tobytes() == want.tobytes()

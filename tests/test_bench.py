@@ -28,7 +28,7 @@ def test_every_bench_row_kind_runs_at_small_size():
     kinds = {}  # (layer, family, noise, batch points) -> depth
     for layer, family, noisy, _size, depth, *points in bench.table_rows():
         kinds.setdefault((layer, family, noisy, *points), depth)
-    assert {kind[0] for kind in kinds} == {"prepare_state", "prepare_batch", "ry_layer",
+    assert {kind[0] for kind in kinds} == {"prepare_state", "linear", "prepare_batch", "ry_layer",
                                            "rotation", "mixer_layer", "phase", "energy_table"}
     for (layer, family, noisy, *points), depth in kinds.items():
         case = bench.make_case(vqopt, layer, family, noisy, 5, depth and min(depth, 2), *points)

@@ -361,6 +361,9 @@ def test_sweep_bytes_pinned(tmp_path, case):
 _RESULT_PINS = {
     "fit.json": "11b2e6bde1eb7433a43a2edce5d78fa5c9f2eb8ff6eb2b585aa50e4a4d39fad9",
     "depth_sweep.json": "3a700c1412b9a7208863fd6c89568a3bb78a51586e3f99a5ed043ccb529b95ef",
+    # tables of several chunks, blocked mixers and the skipped zero-angle layer
+    "depth_sweep_blocked.json":
+        "26d023457697599263854f419ef708fa31cc86bdda7afb5f31290d486ffea126",
 }
 
 
@@ -370,7 +373,9 @@ def test_result_bytes_pinned(tmp_path, name):
         result = exp.fit_scaling([(L, 3.0 * 2.0 ** (0.4 * L)) for L in range(5, 12)],
                                  l_min=6, target=0.25)
     else:
-        result = exp.depth_sweep(sizes=[4, 5], depths=[1, 3], dt=0.8, shots=8, repetitions=20,
+        sizes = [4, 5] if name == "depth_sweep.json" else [13, 15, 16]
+        depths = [1, 3] if name == "depth_sweep.json" else [1, 2, 4]
+        result = exp.depth_sweep(sizes=sizes, depths=depths, dt=0.8, shots=8, repetitions=20,
                                  master_seed=3, kind="disordered", instance_seeds=(2, 7))
     exp.save_result(result, tmp_path / name)
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == _RESULT_PINS[name]

@@ -117,10 +117,10 @@ def test_energy_table_consistency():
         assert table[x] == pytest.approx(ising.energy(inst, int(x)))
 
 
-@pytest.mark.parametrize("size", [12, 16, 17])  # 17: an odd number of high bits
+@pytest.mark.parametrize("size", [12, 16, 17, 20])  # 17: an odd number of high bits
 def test_energy_table_independent_of_chunk(monkeypatch, size):
     want = ising.energy_table(ising.make_disordered(size, 3))
-    for chunk in (1 << 4, 1 << 10, 1 << size):
+    for chunk in (1 << 4, 1 << 10, 1 << 14, 1 << size):  # 2^14: the chunk before 2^12
         monkeypatch.setattr(ising, "_TABLE_CHUNK", chunk)
         got = ising.energy_table(ising.make_disordered(size, 3))  # a fresh, uncached instance
         assert got.tobytes() == want.tobytes(), chunk
