@@ -17,9 +17,9 @@ is the plain mean; ``mean_cost`` is that case's bit-for-bit reference.
 Both gradient rules measure the 2 * n_par ``shifted_points`` and
 combine their values with ``central_difference``: parameter shift with
 ``PARAM_SHIFT_RULE``, a finite difference of step h with (h, 2h).
-``optimizer.run`` samples each point with its own batch of shots and
-scores it with the mean.  A ``MinimumTracker`` tests sample sets for
-ground-state hits, keeps the lowest energy and counts the shots; an
+An ``optimizer.RunTrace`` asks for each point with its own batch of
+shots and scores it with the mean.  A ``MinimumTracker`` tests sample sets
+for ground-state hits, keeps the lowest energy and counts the shots; an
 ``optimizer.RunTrace`` is one, and a final probe is scored by a fresh
 one.  A depth sweep, which runs no optimizer, tests its R x M draws
 itself.  ``exact_cost`` is the noise- and shot-free reference the tests
@@ -143,11 +143,15 @@ def sample_round(
     return sets
 
 
-def check_uniforms(rows: int, shots: int, draws: int = 0) -> None:
-    """Refuse a shot count outside [1, 2^63), and ``rows`` rows of ``draws +
-    shots`` uniforms that reach the 2^60 doubles one array holds."""
+def check_shots(shots: int) -> None:
+    """Refuse a shot count outside [1, 2^63)."""
     if not 1 <= shots < MAX_SHOTS:
         raise DomainError(f"shots must be in [1, 2^63), got {shots}")
+
+
+def check_uniforms(rows: int, shots: int, draws: int = 0) -> None:
+    """Refuse a bad shot count, and rows of uniforms past the 2^60 one array holds."""
+    check_shots(shots)
     if rows * (draws + shots) >= MAX_UNIFORMS:
         raise CapacityError(f"{rows} x {draws + shots} uniforms exceed the 2^60 one array holds")
 

@@ -40,7 +40,7 @@ from . import optimizer as opt
 from .ansatz import FAMILY_QAOA, AnsatzSpec
 from .codec import Record, check_fields, read_json, type_hints, write_atomic
 from .errors import DomainError, SchemaError
-from .estimator import CostKind, check_uniforms, draw_uniforms
+from .estimator import CostKind, check_shots, check_uniforms, draw_uniforms
 from .ising import (
     FERROMAGNETIC,
     GroundTruth,
@@ -363,6 +363,8 @@ def success_sweep(
         raise DomainError(f"threads must be >= 1, got {threads}")
     if any(iters < 0 for _, iters in grid):
         raise DomainError(f"n_iter must be >= 0, got grid {grid}")
+    for shots, _ in grid:  # refused before the first run, not after the cells ahead of it
+        check_shots(shots)
     if len(set(grid)) < len(grid):  # the repeat would be run twice
         raise DomainError(f"grid cells (M, n_iter) must differ, got {grid}")
     instances = problem.instances()

@@ -10,24 +10,25 @@ model), whose first round is its whole starting simplex; for
 ``gradient_descent_rounds`` (``GradientDescentConfig``) it is the 2 * n_par
 parameter-shift or finite-difference points of one step.
 
-A ``RunTrace`` is one run in the same shape: ``points`` asks for a round
-and ``tell`` is given the round's sample sets, folds them into the trace,
-which is its own ``MinimumTracker`` and so the run's one shot counter
-(each row records its count as ``n_calls``), and sends the values on.
-Energy-based rounds are scored with the run's cost kind and record one
-row per point, so a row is one evaluation however the points were
-grouped; a gradient round is scored with the mean and records one row,
-carrying the mean energy of all the round's shots.  ``run`` checks its
-arguments, picks the generator, and drives one trace, sampling each
-round's points together (``estimator.sample_round``); a driver of many
-runs can tell each its own sets.  ``run`` holds the state of its last
-one-point ideal round, so when the trust region, stalled at
+A ``RunTrace`` is one run in the same shape, made from ``run``'s
+arguments: it checks them, picks the generator and asks for every round
+the run is measured on, the final probe included, as ``points`` with
+``shots`` shots per point.  ``tell`` is given the round's sample sets,
+folds them into the trace, which is its own ``MinimumTracker`` and so the
+run's one shot counter (each row records its count as ``n_calls``), and
+sends the values on.  Energy-based rounds are scored with the run's cost
+kind and record one row per point, so a row is one evaluation however the
+points were grouped; a gradient round is scored with the mean and records
+one row, carrying the mean energy of all the round's shots.  ``run``
+drives one trace, sampling each round's points together
+(``estimator.sample_round``); a driver of many runs needs nothing but
+their traces, telling each its own sets.  ``run`` holds the state of its
+last one-point ideal round, so when the trust region, stalled at
 ``final_radius``, asks for that point again, or the final probe measures
 it, fresh shots are drawn from that state without preparing it again;
-noisy states, which take their own draws, are prepared every time.  A
-run with ``n_iter = 0`` performs a single M-shot measurement of theta0
-and no optimization, which is the smallest run that can still observe
-success.
+noisy states, which take their own draws, are prepared every time.  A run
+with ``n_iter = 0`` performs a single M-shot measurement of theta0 and no
+optimization, which is the smallest run that can still observe success.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .estimator import (
     MinimumTracker,
     SampleSet,
     central_difference,
+    check_shots,
     cost,
     sample_round,
     shifted_points,
@@ -124,14 +126,45 @@ class IterationRecord(Record):
 
 
 class RunTrace(MinimumTracker):
-    """One optimization run: ``points`` is the round its generator asks for
-    (None once it has returned), ``tell`` takes that round's sample sets.
-    ``psucc_hit`` is whether the last set held a minimizer, unless ``run``
-    replaces it with a final probe's, whose ``probe_shots`` stay out of n_calls."""
+    """One optimization run, made from ``run``'s arguments.  ``points`` is the
+    round it asks for, to be measured with ``shots`` shots per point, or None
+    once the run is done; ``tell`` takes that round's sample sets.
+    ``psucc_hit`` is whether the last set held a minimizer.  With
+    ``final_probe`` and n_iter > 0 the last round is the probe, M shots at
+    ``final_theta``: scored by a tracker of its own, it sets ``psucc_hit`` and
+    ``probe_shots`` = M and stays out of the records, ``n_calls``, ``f_min``
+    and ``first_hit_calls``.  At n_iter = 0 the one theta0 sample decides
+    both flags."""
 
-    def __init__(self, rounds: Generator, minimizers, kind: CostKind, gradient: bool) -> None:
-        super().__init__(minimizers)
-        self._rounds, self._kind, self._gradient = rounds, kind, gradient
+    def __init__(self, spec: AnsatzSpec, ground: GroundTruth, config: OptimizerConfig,
+                 cost_kind: CostKind, shots: int, n_iter: int, theta0: np.ndarray, *,
+                 rng: np.random.Generator, final_probe: bool = False) -> None:
+        if n_iter < 0:
+            raise DomainError(f"n_iter must be >= 0, got {n_iter}")
+        check_shots(shots)
+        theta0 = np.asarray(theta0, dtype=float)
+        if theta0.shape != (spec.n_params,):
+            raise DomainError("theta0 length does not match the ansatz")
+        if isinstance(config, GradientDescentConfig) and config.gradient == "param-shift":
+            if spec.family != FAMILY_VQE:
+                raise DomainError("parameter-shift gradients require the RY-CNOT family")
+        gradient = isinstance(config, GradientDescentConfig) and n_iter > 0
+        if n_iter == 0:
+            rounds = _measure_once(theta0)
+        elif isinstance(config, TrustRegionConfig):
+            rounds = trust_region_rounds(theta0, n_iter, config.initial_radius,
+                                         config.final_radius, rng)
+        elif isinstance(config, HillClimbConfig):
+            rounds = hill_climb_rounds(theta0, n_iter, config.step_norm, rng)
+        elif gradient:
+            rounds = gradient_descent_rounds(theta0, n_iter, config)
+        else:
+            raise DomainError(f"unknown optimizer config {type(config).__name__}")
+        super().__init__(ground.minimizers)
+        # gradient rounds are scored with the mean whatever the run's cost kind
+        self._kind, self.shots = (MEAN, config.shots_per_circuit) if gradient else (cost_kind, shots)
+        self._rounds, self._gradient, self._probe_m = rounds, gradient, shots
+        self._probe = MinimumTracker(ground.minimizers) if final_probe and n_iter > 0 else None
         self.records: list[IterationRecord] = []
         self.final_theta: np.ndarray | None = None
         self.psucc_hit, self.probe_shots = False, 0
@@ -139,6 +172,10 @@ class RunTrace(MinimumTracker):
 
     def tell(self, sets: list[SampleSet]) -> None:
         """Take the sample sets of the round ``points`` asked for, in order."""
+        if self._rounds is None:  # the final probe
+            self.psucc_hit, self.probe_shots = self._probe.observe(sets[0]), self.shots
+            self.points = None
+            return
         values = []
         for samples in sets:
             self.psucc_hit = self.observe(samples)
@@ -150,7 +187,9 @@ class RunTrace(MinimumTracker):
         try:
             self.points = self._rounds.send(values)
         except StopIteration as done:
-            self.points, self.final_theta = None, done.value[0]
+            self._rounds, self.final_theta, self.points = None, done.value[0], None
+            if self._probe is not None:
+                self.points, self.shots = self.final_theta[None], self._probe_m
 
     def _record(self, value: float) -> None:
         self.records.append(IterationRecord(len(self.records) + 1, value, self.f_min, self.n_calls))
@@ -320,51 +359,14 @@ def run(
     rng: np.random.Generator,
     final_probe: bool = False,
 ) -> RunTrace:
-    """Execute one optimization run and record its full trace.
-
-    ``final_probe=True`` draws one extra M-shot sample from the state at
-    the returned parameters to decide ``psucc_hit``; those shots are
-    reported in ``probe_shots`` and never counted into ``n_calls``.  With
-    ``n_iter = 0`` the single theta0 sample decides both flags, so the
-    terminal-sample and anywhere-success criteria coincide by construction.
-    """
-    if n_iter < 0:
-        raise DomainError(f"n_iter must be >= 0, got {n_iter}")
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (spec.n_params,):
-        raise DomainError("theta0 length does not match the ansatz")
-    if isinstance(config, GradientDescentConfig) and config.gradient == "param-shift":
-        if spec.family != FAMILY_VQE:
-            raise DomainError("parameter-shift gradients require the RY-CNOT family")
-
-    gradient = isinstance(config, GradientDescentConfig) and n_iter > 0
-    if n_iter == 0:
-        rounds = _measure_once(theta0)
-    elif isinstance(config, TrustRegionConfig):
-        rounds = trust_region_rounds(
-            theta0, n_iter, config.initial_radius, config.final_radius, rng
-        )
-    elif isinstance(config, HillClimbConfig):
-        rounds = hill_climb_rounds(theta0, n_iter, config.step_norm, rng)
-    elif gradient:
-        rounds = gradient_descent_rounds(theta0, n_iter, config)
-    else:
-        raise DomainError(f"unknown optimizer config {type(config).__name__}")
-    # gradient rounds are scored with the mean whatever the run's cost kind
-    kind, per_point = (MEAN, config.shots_per_circuit) if gradient else (cost_kind, shots)
-
+    """Execute one optimization run, a ``RunTrace`` of these arguments (whose
+    docstring states the final-probe rule), sampling each round's points together."""
+    trace = RunTrace(spec, ground, config, cost_kind, shots, n_iter, theta0,
+                     rng=rng, final_probe=final_probe)
     table = energy_table(instance)
-    trace = RunTrace(rounds, ground.minimizers, kind, gradient)
     held: dict = {}  # the state of the last one-point ideal round, for a repeat of it
     while trace.points is not None:
-        trace.tell(sample_round(spec, trace.points, table, per_point, noise, rng, held))
-
-    if final_probe and n_iter > 0:
-        # terminal measurement only, scored by a tracker of its own so that
-        # success/first_hit_calls reflect the optimization loop alone
-        (probe,) = sample_round(spec, trace.final_theta[None], table, shots, noise, rng, held)
-        trace.psucc_hit = MinimumTracker(ground.minimizers).observe(probe)
-        trace.probe_shots = shots
+        trace.tell(sample_round(spec, trace.points, table, trace.shots, noise, rng, held))
     return trace
 
 

@@ -200,6 +200,8 @@ def _bad_sweep_result(**cell_changes):
 _RUN = ["run", "--instance", "inst.json", "--shots", "4", "--iters", "2", "--out", "t.jsonl"]
 _RUN_NOISY = ["run", "--instance", "inst.json", "--noise", "noise.json", "--shots", "4",
               "--iters", "2", "--out", "t.jsonl"]
+_GD_RUN_ZERO = ["run", "--family", "vqe", "--optimizer", "gd-paramshift", "--instance",
+                "inst.json", "--shots", "0", "--iters", "5", "--out", "t.jsonl"]
 
 # (case, files to write into the working directory, argv, exit code)
 _BAD_INPUTS = [
@@ -359,6 +361,13 @@ _BAD_INPUTS = [
     ("run with 2^63 shots", {},
      ["run", "--instance", "inst.json", "--shots", str(1 << 63), "--iters", "2",
       "--out", "t.jsonl"], 1),
+    # gradient descent samples its points with --grad-shots, but M is checked all the same
+    ("gradient-descent run with zero shots", {}, _GD_RUN_ZERO, 1),
+    ("probed gradient-descent run with zero shots", {}, [*_GD_RUN_ZERO, "--final-probe"], 1),
+    ("gradient-descent sweep with zero shots",
+     {"spec.json": _bad_sweep_spec(family="vqe-ry-cnot", optimizer={"name": "gradient-descent"}),
+      "grid.json": {"shots": [0], "iters": [5]}},
+     ["sweep", "--spec", "spec.json", "--grid", "grid.json", "--reps", "2", "--out", "o"], 1),
     ("depth sweep with 10^400 shots", {},
      ["depth-sweep", "--depths", "1", "--sizes", "4", "--shots", str(10**400), "--out", "o"], 1),
     ("baseline of a negative size", {}, ["baseline", "--size", "-1", "--calls", "2"], 1),
@@ -504,6 +513,8 @@ _BAD_INPUT_MESSAGES = {
     "grid with a shot count of 10^400": "shots must be in [1, 2^63), got 1000",
     "grid with a shot count of 2^63": f"shots must be in [1, 2^63), got {1 << 63}",
     "run with 2^63 shots": f"shots must be in [1, 2^63), got {1 << 63}",
+    **{f"{what} with zero shots": "shots must be in [1, 2^63), got 0" for what in (
+        "gradient-descent run", "probed gradient-descent run", "gradient-descent sweep")},
     "depth sweep with 10^400 shots": "shots must be in [1, 2^63), got 1000",
     "baseline of a negative size": "size must be >= 1",
     "report in an unknown format": "unknown format 'pdf'",
@@ -555,6 +566,8 @@ def test_bad_input_exits_with_one_stderr_line(tmp_path, case, files, argv, code)
     # under -W error a numpy warning on the way ends in a traceback, which fails the case
     _assert_one_stderr_line(_python(tmp_path, "-W", "error", "-m", "vqopt", *argv), code,
                             _BAD_INPUT_MESSAGES.get(case, ""))
+    if "--out" in argv:  # a refused command writes nothing
+        assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
 def _python(cwd, *args):

@@ -168,6 +168,15 @@ def test_sweep_rejects_bad_arguments():
             exp.success_sweep(problem, opt.TrustRegionConfig(), est.CVAR25, [(shots, 1)], 2, 0)
 
 
+@pytest.mark.parametrize("shots", [0, 1 << 63, 10**400], ids=["0", "2^63", "10^400"])
+def test_sweep_refuses_bad_input_before_any_work(monkeypatch, shots):
+    # the bad M follows a valid (64, 270) cell, whose 40 runs would take seconds
+    monkeypatch.setattr(opt, "run", lambda *args, **kwargs: pytest.fail("a run was made"))
+    with pytest.raises(DomainError, match=r"shots must be in \[1, 2\^63\)"):
+        exp.success_sweep(exp.ProblemSpec("vqe-ry-cnot", 8, 2), opt.TrustRegionConfig(),
+                          est.CVAR25, [(64, 270), (shots, 270)], 40, 0)
+
+
 def geometric_quantile_cell(size: int, repetitions: int, budget_iters: int) -> exp.CellResult:
     """Cell whose empirical curve is the R-step staircase of the closed-form
     uniform-sampling success probability (M = 1 per iteration)."""

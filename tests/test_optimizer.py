@@ -297,49 +297,37 @@ _INTERLEAVED = [
 ]
 
 
-def _rounds_for(config, theta0, n_iter, rng):
-    """The generator run picks for ``config`` at n_iter > 0."""
-    if isinstance(config, opt.TrustRegionConfig):
-        return opt.trust_region_rounds(
-            theta0, n_iter, config.initial_radius, config.final_radius, rng)
-    if isinstance(config, opt.HillClimbConfig):
-        return opt.hill_climb_rounds(theta0, n_iter, config.step_norm, rng)
-    return opt.gradient_descent_rounds(theta0, n_iter, config)
-
-
-@pytest.mark.parametrize("config", _INTERLEAVED,
-                         ids=[getattr(c, "gradient", c.name) for c in _INTERLEAVED])
-def test_interleaved_run_traces_equal_sequential_runs(config):
+@pytest.mark.parametrize("config, final_probe, noise", [
+    pytest.param(config, probe, noise, id=getattr(config, "gradient", config.name)
+                 + "-probe" * probe + "-noisy" * (noise is not None))
+    for config in _INTERLEAVED for probe in (False, True)
+    for noise in (None, sim.NoiseModel(t1_us=2.0, t2_us=3.0))])
+def test_interleaved_run_traces_equal_sequential_runs(config, final_probe, noise):
     # two runs told their rounds round-robin, each sampled with its own
     # generator, as a driver of many runs would: every run's trace is the one
     # run makes alone
     spec, inst, ground = _run_setup(size=4, family=anz.FAMILY_VQE, depth=1)
-    gradient = isinstance(config, opt.GradientDescentConfig)
-    kind, per_point = (est.MEAN, 3) if gradient else (est.CVAR25, 6)
-    table = ising.energy_table(inst)
-    seeds, n_iter = (67, 68), 9
+    table, args = ising.energy_table(inst), (config, est.CVAR25, 6, 9)
 
-    sequential = []
-    for seed in seeds:
+    sequential, runs = [], []
+    for seed in (67, 68):
         rng = np.random.default_rng(seed)
-        sequential.append(opt.run(spec, inst, ground, config, kind, 6, n_iter,
-                                  anz.init_random(spec, rng), rng=rng))
-    runs = []
-    for seed in seeds:
+        sequential.append(opt.run(spec, inst, ground, *args, anz.init_random(spec, rng), noise,
+                                  rng=rng, final_probe=final_probe))
         rng = np.random.default_rng(seed)
-        rounds = _rounds_for(config, anz.init_random(spec, rng), n_iter, rng)
-        runs.append((opt.RunTrace(rounds, ground.minimizers, kind, gradient), rng))
-    while any(trace.points is not None for trace, _ in runs):
-        for trace, rng in runs:
+        runs.append((opt.RunTrace(spec, ground, *args, anz.init_random(spec, rng), rng=rng,
+                                  final_probe=final_probe), rng, {}))
+    while any(trace.points is not None for trace, _, _ in runs):
+        for trace, rng, held in runs:
             if trace.points is not None:
-                trace.tell(est.sample_round(spec, trace.points, table, per_point, None, rng))
+                trace.tell(est.sample_round(spec, trace.points, table, trace.shots, noise, rng,
+                                            held))
 
     assert any(alone.success for alone in sequential)
-    for alone, (trace, _) in zip(sequential, runs):
-        assert trace.records == alone.records
+    fields = ("records", "first_hit_calls", "psucc_hit", "n_calls", "f_min", "probe_shots")
+    for alone, (trace, _, _) in zip(sequential, runs):
         assert trace.final_theta.tobytes() == alone.final_theta.tobytes()
-        assert (trace.first_hit_calls, trace.psucc_hit, trace.n_calls, trace.f_min) == (
-            alone.first_hit_calls, alone.psucc_hit, alone.n_calls, alone.f_min)
+        assert [getattr(trace, f) for f in fields] == [getattr(alone, f) for f in fields]
 
 
 # --- the held state of a repeated ideal point -------------------------------
@@ -376,20 +364,14 @@ def test_run_with_held_state_equals_rounds_sampled_without_it(tmp_path):
     paths = []
     for memo in (True, False):
         rng = np.random.default_rng(2311)
-        theta0 = anz.init_random(spec, rng)
+        args = (config, est.CVAR25, 6, 100, anz.init_random(spec, rng))
         if memo:
-            trace = opt.run(spec, inst, ground, config, est.CVAR25, 6, 100, theta0,
-                            rng=rng, final_probe=True)
+            trace = opt.run(spec, inst, ground, *args, rng=rng, final_probe=True)
         else:  # round by round, every point prepared
             table = ising.energy_table(inst)
-            rounds = opt.trust_region_rounds(
-                theta0, 100, config.initial_radius, config.final_radius, rng)
-            trace = opt.RunTrace(rounds, ground.minimizers, est.CVAR25, False)
+            trace = opt.RunTrace(spec, ground, *args, rng=rng, final_probe=True)
             while trace.points is not None:
-                trace.tell(est.sample_round(spec, trace.points, table, 6, None, rng))
-            (probe,) = est.sample_round(spec, trace.final_theta[None], table, 6, None, rng)
-            trace.psucc_hit = est.MinimumTracker(ground.minimizers).observe(probe)
-            trace.probe_shots = 6
+                trace.tell(est.sample_round(spec, trace.points, table, trace.shots, None, rng))
         paths.append(tmp_path / f"trace-{memo}.jsonl")
         opt.write_trace(paths[-1], trace, {"seed": 2311})
     assert paths[0].read_bytes() == paths[1].read_bytes()
